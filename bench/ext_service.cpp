@@ -2,7 +2,9 @@
 // in-process pipe transport with a fixed window of outstanding schedule
 // requests (a saturating load below the admission limit) and measures
 // end-to-end request latency and throughput for workers x result-cache
-// configurations.
+// configurations, and how each configuration served the requests: solved
+// (`exec`), parked on another copy's in-flight solve (`joined`), or taken
+// from the result cache (`cache_hits`).
 //
 // Two hard properties are asserted, not just measured:
 //  * zero drops — every submitted request gets exactly one ok response
@@ -16,6 +18,7 @@
 #include <thread>
 
 #include "bench_common.hpp"
+#include "io/instance_hash.hpp"
 #include "io/instance_io.hpp"
 #include "service/server.hpp"
 #include "service/transport.hpp"
@@ -31,8 +34,20 @@ struct LoadResult {
   double total_seconds = 0.0;
   std::vector<double> latencies_ms;
   std::uint64_t cache_hits = 0;
+  std::uint64_t joined = 0;
+  std::int64_t exec = 0;
   std::vector<std::string> bodies;  ///< sorted, ids stripped
 };
+
+/// Digest of the sorted body multiset: the CSV's bit-identity witness.
+std::string BodiesDigest(const std::vector<std::string>& bodies) {
+  std::string all;
+  for (const std::string& body : bodies) {
+    all += body;
+    all += '\n';
+  }
+  return HashCanonicalText(all).ToHex();
+}
 
 std::string StripId(const std::string& line) {
   const std::size_t comma = line.find(',');
@@ -91,6 +106,16 @@ LoadResult RunLoad(const std::vector<std::string>& lines, std::size_t workers,
   }
   result.total_seconds = clock.ElapsedSeconds();
 
+  pipe.Send("{\"verb\":\"stats\",\"id\":\"stats\"}");
+  if (!pipe.Receive(line)) {
+    std::cerr << "FATAL: no stats response\n";
+    std::exit(1);
+  }
+  result.exec = JsonValue::Parse(line)
+                    .At("tenants")
+                    .At(service::kDefaultTenant)
+                    .GetInt("exec", -1);
+
   pipe.Send("{\"verb\":\"shutdown\"}");
   while (pipe.Receive(line)) {
     if (line.find("\"verb\":\"shutdown\"") != std::string::npos) break;
@@ -101,6 +126,7 @@ LoadResult RunLoad(const std::vector<std::string>& lines, std::size_t workers,
     std::exit(1);
   }
   result.cache_hits = server.Counters().cache_hits;
+  result.joined = server.Counters().joined;
   std::sort(result.bodies.begin(), result.bodies.end());
   return result;
 }
@@ -143,7 +169,7 @@ int main() {
             << " requests, window " << window << ", suite scale "
             << config.scale << ") ===\n";
   PrintRow({"workers", "cache", "total[s]", "req/s", "p50[ms]", "p95[ms]",
-            "hits"});
+            "exec", "joined", "hits"});
 
   std::vector<std::vector<std::string>> csv_rows;
   std::vector<std::string> reference_bodies;
@@ -165,20 +191,24 @@ int main() {
       PrintRow({std::to_string(workers), cache ? "on" : "off",
                 StrFormat("%.3f", r.total_seconds), StrFormat("%.1f", rps),
                 StrFormat("%.2f", p50), StrFormat("%.2f", p95),
+                std::to_string(r.exec), std::to_string(r.joined),
                 std::to_string(r.cache_hits)});
       csv_rows.push_back({std::to_string(workers), cache ? "on" : "off",
                           std::to_string(num_requests),
                           std::to_string(window),
                           StrFormat("%.4f", r.total_seconds),
                           StrFormat("%.2f", rps), StrFormat("%.3f", p50),
-                          StrFormat("%.3f", p95),
-                          std::to_string(r.cache_hits), build});
+                          StrFormat("%.3f", p95), std::to_string(r.exec),
+                          std::to_string(r.joined),
+                          std::to_string(r.cache_hits),
+                          BodiesDigest(r.bodies), build});
     }
   }
 
   WriteCsv(config, "service",
            {"workers", "cache", "requests", "window", "total_s",
-            "throughput_rps", "p50_ms", "p95_ms", "cache_hits", "build"},
+            "throughput_rps", "p50_ms", "p95_ms", "exec", "joined",
+            "cache_hits", "bodies_digest", "build"},
            csv_rows);
   std::cout << "zero drops, bodies bit-identical across all "
             << csv_rows.size() << " configurations\n";

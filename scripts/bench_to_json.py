@@ -28,9 +28,11 @@ given. Stdlib only.
 ``--diff`` compares each CSV against the committed ``BENCH_<name>.json``
 (from --baseline-dir, default ``bench_results/``) instead of writing
 anything: rows are matched on the identity columns both sides share
-(instance / num_tasks / mode / threads / scan / simd), and every shared
-numeric column is reported as ``old -> new (delta, pct)``. Rows present on
-only one side are listed. Exit status is 0 when every row pairs up —
+(instance / num_tasks / mode / threads / scan / simd / workers / cache),
+and every shared numeric column is reported as ``old -> new (delta,
+pct)``. A changed text column other than ``build`` (for example a
+``bodies_digest`` witness of response bytes) is reported as ``old -> new``.
+Rows present on only one side are listed. Exit status is 0 when every row pairs up —
 deltas are informational — and 1 on unpaired rows or a missing baseline.
 """
 
@@ -43,7 +45,9 @@ from pathlib import Path
 # Columns that identify a row rather than measure it; the row key for
 # --diff is the ordered tuple of these that appear in both headers.
 KEY_HINTS = ("instance", "num_tasks", "mode", "threads", "scan", "simd",
-             "impl", "kind", "name")
+             "impl", "kind", "name", "workers", "cache")
+# Text columns that stamp the producing binary; they change every build.
+STAMP_COLUMNS = ("build",)
 
 
 def coerce(cell: str):
@@ -119,9 +123,9 @@ def diff_one(csv_path: Path, baseline_dir: Path) -> int:
     if not keys:
         print(f"{csv_path.stem}: no shared identity columns; cannot pair rows")
         return 1
-    numeric = [
+    compared = [
         c for c in header
-        if c in old_header and c not in keys
+        if c in old_header and c not in keys and c not in STAMP_COLUMNS
     ]
 
     def row_key(row: dict) -> tuple:
@@ -138,11 +142,12 @@ def diff_one(csv_path: Path, baseline_dir: Path) -> int:
             print(f"  {label}: only in new run")
             status = 1
             continue
-        for col in numeric:
+        for col in compared:
             a, b = old.get(col), new.get(col)
-            if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
-                continue
             if a == b:
+                continue
+            if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
+                print(f"  {label} {col}: {a} -> {b}")
                 continue
             delta = b - a
             pct = f", {100.0 * delta / a:+.1f}%" if a else ""

@@ -11,7 +11,7 @@
 //   {"journal":"meta","protocol":1,"build":{...}}          // once per open
 //   {"journal":"request","id":"r1","line":"<raw request>"}
 //   {"journal":"response","id":"r1","line":"<response line>",
-//    "served":"exec|cache|dedup|error|control"}            // v2 only
+//    "served":"exec|cache|join|dedup|error|control"}       // v2 only
 //
 // The framing exists for exactly one failure: a crash (power cut, kill -9,
 // ENOSPC) landing mid-append. The opening recovery scan walks the file,
@@ -121,8 +121,9 @@ class Journal {
 
   void AppendRequest(const std::string& id, const std::string& raw_line);
   /// `served` records where the response came from: "exec" (a worker ran
-  /// the scheduler), "cache" (result cache), "dedup" (replayed for a
-  /// duplicate id), "error", "control". The chaos harness asserts at most
+  /// the scheduler), "cache" (result cache), "join" (the body of another
+  /// copy's in-flight solve), "dedup" (replayed for a duplicate id),
+  /// "error", "control". The chaos harness asserts at most
   /// one "exec" per id across a journal's whole crash/restart history.
   void AppendResponse(const std::string& id, const std::string& response_line,
                       const std::string& served);

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -257,6 +259,10 @@ std::string RescheddServer::NextId() {
   return id;
 }
 
+double RescheddServer::UptimeMs() const {
+  return static_cast<double>(uptime_.ElapsedMicros()) / 1000.0;
+}
+
 void RescheddServer::Admit(Request request) {
   const std::string id = request.id;
   const std::string tenant = request.tenant;
@@ -301,7 +307,7 @@ void RescheddServer::Admit(Request request) {
   Pending item;
   item.request = std::move(request);
   item.token = std::move(token);
-  item.admitted_at_ms = static_cast<double>(uptime_.ElapsedMicros()) / 1000.0;
+  item.admitted_at_ms = UptimeMs();
   const PushOutcome outcome = queue_.TryPush(tenant, std::move(item));
   if (outcome == PushOutcome::kAccepted) {
     accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -338,10 +344,9 @@ void RescheddServer::WorkerLoop() {
   Pending item;
   bool expired_in_drain = false;
   while (queue_.Pop(item, &expired_in_drain)) {
-    const std::string tenant = item.request.tenant;
-    TenantStats& tstats = TenantStatsFor(tenant);
-    RecordQueueWait(tstats, static_cast<double>(uptime_.ElapsedMicros()) / 1000.0 -
-                                item.admitted_at_ms);
+    item.popped_at_ms = UptimeMs();
+    TenantStats& tstats = TenantStatsFor(item.request.tenant);
+    RecordQueueWait(tstats, item.popped_at_ms - item.admitted_at_ms);
     if (expired_in_drain) {
       tstats.drain_shed.fetch_add(1, std::memory_order_relaxed);
     }
@@ -350,30 +355,18 @@ void RescheddServer::WorkerLoop() {
     // scheduler — and not served from the result cache either, which
     // would fake a success the client has stopped waiting for.
     if (item.token->Cancelled()) {
-      const std::string& id = item.request.id;
-      std::string body;
-      if (item.token->ExplicitlyCancelled()) {
-        cancelled_.fetch_add(1, std::memory_order_relaxed);
-        tstats.cancelled.fetch_add(1, std::memory_order_relaxed);
-        body = ErrorBody(kErrCancelled, "request cancelled");
-      } else {
-        deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-        tstats.deadline_expired.fetch_add(1, std::memory_order_relaxed);
-        body = ErrorBody(kErrDeadline, "deadline expired while queued");
-      }
+      const std::string body =
+          CancelledBody(*item.token, tstats, "deadline expired while queued");
       {
         MutexLock lock(registry_mu_);
-        registry_.erase(id);
+        registry_.erase(item.request.id);
       }
-      Respond(id, body, "error");
+      Respond(item.request.id, body, "error");
+      queue_.OnDone(item.request.tenant);
     } else {
-      WallTimer service;
       Process(item, warm);
-      tstats.service_time.Record(static_cast<double>(service.ElapsedMicros()) /
-                                 1000.0);
     }
     item = Pending{};  // release the instance/token before blocking again
-    queue_.OnDone(tenant);
   }
 }
 
@@ -389,71 +382,145 @@ void RescheddServer::Process(Pending& item, WarmSlot& warm) {
     if (FindCompleted(request.id, done_body)) {
       deduped_.fetch_add(1, std::memory_order_relaxed);
       tstats.deduped.fetch_add(1, std::memory_order_relaxed);
-      {
-        MutexLock lock(registry_mu_);
-        registry_.erase(request.id);
-      }
-      Respond(request.id, done_body, "dedup");
+      Answer(item, done_body, "dedup");
       return;
     }
   }
 
   const bool cacheable = result_cache_ != nullptr && request.Deterministic() &&
                          request.sched.use_cache;
-  Digest128 key;
-  std::string body;
-  bool ok = false;
-  bool from_cache = false;
-
-  if (cacheable) {
-    key = HashCanonicalText(RequestKeyText(request));
-    if (std::shared_ptr<const std::string> hit = result_cache_->Find(key)) {
-      body = *hit;
-      ok = true;
-      from_cache = true;
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      tstats.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    }
+  if (!cacheable) {
+    Lead(std::move(item), warm, nullptr);
+    return;
   }
 
-  if (!from_cache) {
-    try {
-      // A request can spend its whole deadline queued; charge that too.
-      item.token->ThrowIfCancelled();
-      body = Execute(request, *item.token, warm);
-      ok = true;
-      tstats.exec.fetch_add(1, std::memory_order_relaxed);
-    } catch (const CancelledError&) {
-      if (item.token->ExplicitlyCancelled()) {
-        cancelled_.fetch_add(1, std::memory_order_relaxed);
-        tstats.cancelled.fetch_add(1, std::memory_order_relaxed);
-        body = ErrorBody(kErrCancelled, "request cancelled");
-      } else {
-        deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-        tstats.deadline_expired.fetch_add(1, std::memory_order_relaxed);
-        body = ErrorBody(kErrDeadline, "deadline exceeded");
+  // Singleflight: the cache probe and the flight lookup share one lock
+  // with the leader's cache-fill-and-land step, so exactly one of "hit",
+  // "join" or "lead" holds for each copy of a key.
+  const Digest128 key = HashCanonicalText(RequestKeyText(request));
+  std::shared_ptr<const std::string> hit;
+  {
+    MutexLock lock(flights_mu_);
+    hit = result_cache_->Find(key);
+    if (!hit) {
+      const auto [flight, leading] = flights_.try_emplace(key);
+      if (!leading) {
+        joined_.fetch_add(1, std::memory_order_relaxed);
+        tstats.joined.fetch_add(1, std::memory_order_relaxed);
+        flight->second.push_back(std::move(item));
+        return;  // parked: the flight's leader answers it
       }
-    } catch (const std::exception& e) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      tstats.failed.fetch_add(1, std::memory_order_relaxed);
-      body = ErrorBody(kErrInternal, e.what());
     }
   }
+  if (hit) {
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    tstats.cache_hits.fetch_add(1, std::memory_order_relaxed);
+    Answer(item, *hit, "cache");
+    return;
+  }
+  Lead(std::move(item), warm, &key);
+}
 
-  if (ok) {
+void RescheddServer::Lead(Pending leader, WarmSlot& warm,
+                          const Digest128* key) {
+  for (;;) {
+    std::string body;
+    const bool ok = Solve(leader, warm, body);
+    // Followers to answer now: all of them on success; on failure only
+    // those whose own token fired, while the first live one re-leads and
+    // the rest re-park on it.
+    std::vector<Pending> settled;
+    std::optional<Pending> successor;
+    if (key != nullptr) {
+      MutexLock lock(flights_mu_);
+      const auto flight = flights_.find(*key);
+      RESCHED_CHECK_MSG(flight != flights_.end(), "leader lost its flight");
+      std::vector<Pending> parked;
+      parked.swap(flight->second);
+      if (ok) {
+        result_cache_->Insert(*key, body);
+        settled = std::move(parked);
+      } else {
+        for (Pending& follower : parked) {
+          if (follower.token->Cancelled()) {
+            settled.push_back(std::move(follower));
+          } else if (!successor) {
+            successor = std::move(follower);
+          } else {
+            flight->second.push_back(std::move(follower));
+          }
+        }
+      }
+      if (!successor) flights_.erase(flight);
+    }
+    Answer(leader, body, ok ? "exec" : "error");
+    for (Pending& follower : settled) {
+      if (follower.token->Cancelled()) {
+        Answer(follower,
+               CancelledBody(*follower.token,
+                             TenantStatsFor(follower.request.tenant),
+                             "deadline exceeded"),
+               "error");
+      } else {
+        Answer(follower, body, "join");
+      }
+    }
+    if (!successor) return;
+    leader = std::move(*successor);
+  }
+}
+
+bool RescheddServer::Solve(Pending& item, WarmSlot& warm, std::string& body) {
+  TenantStats& tstats = TenantStatsFor(item.request.tenant);
+  try {
+    // A request can spend its whole deadline queued; charge that too.
+    item.token->ThrowIfCancelled();
+    body = Execute(item.request, *item.token, warm);
+    tstats.exec.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  } catch (const CancelledError&) {
+    body = CancelledBody(*item.token, tstats, "deadline exceeded");
+  } catch (const std::exception& e) {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    tstats.failed.fetch_add(1, std::memory_order_relaxed);
+    body = ErrorBody(kErrInternal, e.what());
+  }
+  return false;
+}
+
+std::string RescheddServer::CancelledBody(const CancelToken& token,
+                                          TenantStats& tstats,
+                                          const char* deadline_message) {
+  if (token.ExplicitlyCancelled()) {
+    cancelled_.fetch_add(1, std::memory_order_relaxed);
+    tstats.cancelled.fetch_add(1, std::memory_order_relaxed);
+    return ErrorBody(kErrCancelled, "request cancelled");
+  }
+  deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+  tstats.deadline_expired.fetch_add(1, std::memory_order_relaxed);
+  return ErrorBody(kErrDeadline, deadline_message);
+}
+
+void RescheddServer::Answer(Pending& item, const std::string& body,
+                            const char* served) {
+  const std::string& id = item.request.id;
+  const std::string_view tag(served);
+  if (tag == "exec" || tag == "cache" || tag == "join") {
     completed_ok_.fetch_add(1, std::memory_order_relaxed);
-    if (cacheable && !from_cache) result_cache_->Insert(key, body);
     // Into the dedup ledger BEFORE leaving the registry: a duplicate
     // checks completed-then-registry, so at least one of the two must see
     // this request at any instant. Only ok bodies are remembered — an
     // error (deadline, overload) is exactly what a client retries.
-    if (request.had_id) RememberCompleted(request.id, body);
+    if (item.request.had_id) RememberCompleted(id, body);
   }
   {
     MutexLock lock(registry_mu_);
-    registry_.erase(request.id);
+    registry_.erase(id);
   }
-  Respond(request.id, body, ok ? (from_cache ? "cache" : "exec") : "error");
+  Respond(id, body, served);
+  TenantStatsFor(item.request.tenant)
+      .service_time.Record(UptimeMs() - item.popped_at_ms);
+  queue_.OnDone(item.request.tenant);
 }
 
 std::string RescheddServer::Execute(const Request& request,
@@ -649,6 +716,7 @@ std::string RescheddServer::StatsBody() {
       AsInt64(deadline_expired_.load(std::memory_order_relaxed));
   counters["cache_hits"] =
       AsInt64(cache_hits_.load(std::memory_order_relaxed));
+  counters["joined"] = AsInt64(joined_.load(std::memory_order_relaxed));
   counters["deduped"] = AsInt64(deduped_.load(std::memory_order_relaxed));
   counters["rejected_shutting_down"] =
       AsInt64(rejected_shutting_down_.load(std::memory_order_relaxed));
@@ -712,6 +780,7 @@ std::string RescheddServer::StatsBody() {
       t["exec"] = AsInt64(stats->exec.load(std::memory_order_relaxed));
       t["cache_hits"] =
           AsInt64(stats->cache_hits.load(std::memory_order_relaxed));
+      t["joined"] = AsInt64(stats->joined.load(std::memory_order_relaxed));
       t["deduped"] = AsInt64(stats->deduped.load(std::memory_order_relaxed));
       t["failed"] = AsInt64(stats->failed.load(std::memory_order_relaxed));
       t["drain_shed"] =
@@ -841,6 +910,7 @@ std::vector<MetricFamily> RescheddServer::BuildMetricFamilies() {
   add_event("cancelled", c.cancelled);
   add_event("deadline_expired", c.deadline_expired);
   add_event("cache_hits", c.cache_hits);
+  add_event("joined", c.joined);
   add_event("deduped", c.deduped);
   add_event("rejected_shutting_down", c.rejected_shutting_down);
   add_event("journal_errors", c.journal_errors);
@@ -880,6 +950,7 @@ std::vector<MetricFamily> RescheddServer::BuildMetricFamilies() {
         stats->deadline_expired.load(std::memory_order_relaxed));
     add("exec", stats->exec.load(std::memory_order_relaxed));
     add("cache", stats->cache_hits.load(std::memory_order_relaxed));
+    add("join", stats->joined.load(std::memory_order_relaxed));
     add("dedup", stats->deduped.load(std::memory_order_relaxed));
     add("failed", stats->failed.load(std::memory_order_relaxed));
     add("drain_shed", stats->drain_shed.load(std::memory_order_relaxed));
@@ -936,6 +1007,7 @@ ServiceCounters RescheddServer::Counters() const {
   c.cancelled = cancelled_.load(std::memory_order_relaxed);
   c.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
   c.cache_hits = cache_hits_.load(std::memory_order_relaxed);
+  c.joined = joined_.load(std::memory_order_relaxed);
   c.deduped = deduped_.load(std::memory_order_relaxed);
   c.rejected_shutting_down =
       rejected_shutting_down_.load(std::memory_order_relaxed);

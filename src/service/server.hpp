@@ -10,7 +10,9 @@
 // cache keyed on the canonical request digest — an identical submission
 // is served bit-identically from the cache without touching the
 // scheduler. The result cache is shared across tenants (tenant is an
-// admission concept, not part of the request key).
+// admission concept, not part of the request key). A copy that misses the
+// cache while another worker is still solving its key parks on that
+// solve (singleflight) and is answered with the same body when it lands.
 //
 // Lifecycle guarantees:
 //   * admission is non-blocking: a tenant at its queue capacity rejects
@@ -104,6 +106,10 @@ struct ServiceCounters {
   std::uint64_t cancelled = 0;
   std::uint64_t deadline_expired = 0;
   std::uint64_t cache_hits = 0;
+  /// Copies that parked on an in-flight solve of their key (counted at
+  /// park time; a follower promoted after a failed leader also counts
+  /// its own execution).
+  std::uint64_t joined = 0;
   std::uint64_t deduped = 0;         ///< duplicate ids answered from history
   std::uint64_t rejected_shutting_down = 0;
   std::uint64_t journal_errors = 0;  ///< appends/fsyncs that failed
@@ -135,6 +141,7 @@ class RescheddServer {
     Request request;
     std::shared_ptr<CancelToken> token;
     double admitted_at_ms = 0.0;  ///< uptime stamp for queue-wait metrics
+    double popped_at_ms = 0.0;    ///< uptime stamp for service-time metrics
   };
 
   /// Per-tenant observability. Counters are atomics and the histograms
@@ -148,6 +155,7 @@ class RescheddServer {
     std::atomic<std::uint64_t> deadline_expired{0};
     std::atomic<std::uint64_t> exec{0};
     std::atomic<std::uint64_t> cache_hits{0};
+    std::atomic<std::uint64_t> joined{0};
     std::atomic<std::uint64_t> deduped{0};
     std::atomic<std::uint64_t> failed{0};
     std::atomic<std::uint64_t> drain_shed{0};  ///< expired-first drain pops
@@ -180,13 +188,36 @@ class RescheddServer {
   struct DigestHash {
     std::uint64_t operator()(const Digest128& d) const { return d.lo; }
   };
+  struct DigestLess {
+    bool operator()(const Digest128& a, const Digest128& b) const {
+      return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
+    }
+  };
 
   bool ReadLoop();
   void Admit(Request request)
       RESCHED_EXCLUDES(registry_mu_, completed_mu_);
   bool CancelTarget(const std::string& target) RESCHED_EXCLUDES(registry_mu_);
   void WorkerLoop();
+  /// Answers `item` from the dedup ledger or the result cache, parks it on
+  /// the live flight of its key, or solves it as that key's leader. Every
+  /// path ends in Answer(), which releases the item's fair-queue slot; a
+  /// parked item is answered later by its flight's leader.
   void Process(Pending& item, WarmSlot& warm)
+      RESCHED_EXCLUDES(flights_mu_, registry_mu_, write_mu_, completed_mu_);
+  /// Solves `leader` and answers it. With a flight key, the success path
+  /// fills the cache and answers the flight's followers with the same
+  /// body; the failure path re-leads with the first live follower.
+  void Lead(Pending leader, WarmSlot& warm, const Digest128* key)
+      RESCHED_EXCLUDES(flights_mu_, registry_mu_, write_mu_, completed_mu_);
+  /// Runs the scheduler for `item`; false (and an error body) on failure.
+  bool Solve(Pending& item, WarmSlot& warm, std::string& body);
+  /// The error body for a fired token, counted as cancel or deadline.
+  std::string CancelledBody(const CancelToken& token, TenantStats& tstats,
+                            const char* deadline_message);
+  /// Ledger (fresh ok bodies only), registry, wire, service time and the
+  /// fair-queue slot — the one way a dispatched request is finished.
+  void Answer(Pending& item, const std::string& body, const char* served)
       RESCHED_EXCLUDES(registry_mu_, write_mu_, completed_mu_);
   /// Replays options_.warm_start_path into the result cache and the
   /// completed-id map (no re-solving — recorded bodies are restored
@@ -220,11 +251,12 @@ class RescheddServer {
   void WriteMetricsNow();
   void MetricsLoop() RESCHED_EXCLUDES(metrics_mu_);
   /// `served` tags the journaled response record with where the body came
-  /// from ("exec", "cache", "dedup", "error", "control") — the chaos
-  /// harness counts "exec" records to prove nothing ran twice.
+  /// from ("exec", "cache", "join", "dedup", "error", "control") — the
+  /// chaos harness counts "exec" records to prove nothing ran twice.
   void Respond(const std::string& id, const std::string& body,
                const char* served) RESCHED_EXCLUDES(write_mu_);
   std::string NextId();
+  double UptimeMs() const;
 
   Transport& transport_;
   ServerOptions options_;
@@ -253,6 +285,14 @@ class RescheddServer {
   std::map<std::string, std::string> completed_
       RESCHED_GUARDED_BY(completed_mu_);
 
+  /// Singleflight: cache key -> requests parked on the solve its leader
+  /// is running. A key is present exactly while a leader owns it; the
+  /// leader fills the result cache and erases its flight under this lock,
+  /// so a dispatcher probing both under it never sees a gap.
+  Mutex flights_mu_;
+  std::map<Digest128, std::vector<Pending>, DigestLess> flights_
+      RESCHED_GUARDED_BY(flights_mu_);
+
   RecoveryInfo recovery_;  ///< written once in the ctor, read-only after
 
   Mutex pool_mu_;
@@ -271,6 +311,7 @@ class RescheddServer {
   std::atomic<std::uint64_t> cancelled_{0};
   std::atomic<std::uint64_t> deadline_expired_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
+  std::atomic<std::uint64_t> joined_{0};
   std::atomic<std::uint64_t> deduped_{0};
   std::atomic<std::uint64_t> rejected_shutting_down_{0};
   std::atomic<std::uint64_t> journal_errors_{0};

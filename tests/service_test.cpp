@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <map>
 #include <string>
@@ -1181,6 +1182,7 @@ TEST(RescheddServerTest, StatsReportPerTenantCountersAndMetricsWriter) {
     // First run executes, repeats hit the result cache.
     EXPECT_EQ(gold.GetInt("exec", -1), 1);
     EXPECT_EQ(gold.GetInt("cache_hits", -1), 2);
+    EXPECT_EQ(gold.GetInt("joined", -1), 0);
     ASSERT_TRUE(doc.Contains("metrics")) << stats;
     EXPECT_EQ(doc.At("metrics").GetString("path", ""), metrics_path);
   }
@@ -1197,6 +1199,234 @@ TEST(RescheddServerTest, StatsReportPerTenantCountersAndMetricsWriter) {
       std::string::npos)
       << content;
   (void)::unlink(metrics_path.c_str());
+}
+
+
+// ---------------------------------------------------------- singleflight --
+// Copies of one cache key that reach a worker while the key's first copy
+// is still solving park on that solve and get its body. The slow requests
+// below are deterministic PA-R runs with a fixed iteration count and no
+// time budget (so they are cacheable and join); each runs for well over a
+// second in a release build, which is the lower bound these tests lean on.
+
+constexpr std::int64_t kSlowIterations = 100000;
+
+JsonObject Fields(const std::string& id, JsonObject extra = {}) {
+  extra["id"] = id;
+  return extra;
+}
+
+std::string SlowRequest(const std::string& id, JsonObject extra = {}) {
+  extra["algo"] = "par";
+  extra["iterations"] = kSlowIterations;
+  return MakeRequest("schedule", ServiceInstance(12), Fields(id, std::move(extra)));
+}
+
+/// Collects responses by id, whatever order they arrive in.
+class ResponseBook {
+ public:
+  explicit ResponseBook(PipeServer& server) : server_(server) {}
+
+  std::string Await(const std::string& id) {
+    for (;;) {
+      const auto it = lines_.find(id);
+      if (it != lines_.end()) {
+        std::string line = it->second;
+        lines_.erase(it);
+        return line;
+      }
+      const std::string line = server_.Receive();
+      EXPECT_EQ(lines_.count(IdOf(line)), 0u) << "answered twice: " << line;
+      lines_.emplace(IdOf(line), line);
+    }
+  }
+
+  JsonValue Stats() {
+    const std::string id = "st" + std::to_string(++stats_calls_);
+    server_.Send(R"({"verb":"stats","id":")" + id + R"("})");
+    return JsonValue::Parse(Await(id));
+  }
+
+  /// Polls the stats verb until `joined` reaches `n`.
+  void AwaitJoined(std::int64_t n) {
+    for (int i = 0; i < 60000; ++i) {
+      if (Stats().At("counters").GetInt("joined", -1) >= n) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    FAIL() << "never saw " << n << " parked copies";
+  }
+
+ private:
+  PipeServer& server_;
+  std::map<std::string, std::string> lines_;
+  int stats_calls_ = 0;
+};
+
+std::int64_t TenantCount(const JsonValue& stats, const char* field) {
+  return stats.At("tenants").At(service::kDefaultTenant).GetInt(field, -1);
+}
+
+TEST(SingleflightTest, CopiesOfOneKeyShareOneSolve) {
+  ServerOptions options;
+  options.workers = 4;
+  PipeServer server(options);
+  ResponseBook book(server);
+  JsonObject extra;
+  extra["algo"] = "par";
+  extra["iterations"] = 20000;  // long enough that most copies find it running
+  const int kCopies = 8;
+  for (int i = 0; i < kCopies; ++i) {
+    server.Send(MakeRequest("schedule", ServiceInstance(12),
+                            Fields("k" + std::to_string(i), extra)));
+  }
+  std::string first;
+  for (int i = 0; i < kCopies; ++i) {
+    const std::string line = book.Await("k" + std::to_string(i));
+    ASSERT_TRUE(JsonValue::Parse(line).GetBool("ok", false)) << line;
+    if (i == 0) first = StripId(line);
+    EXPECT_EQ(StripId(line), first);
+  }
+  // Whatever the interleaving, one copy solves and every other one either
+  // joined its flight or hit the cache it filled.
+  const JsonValue stats = book.Stats();
+  EXPECT_EQ(TenantCount(stats, "exec"), 1);
+  EXPECT_EQ(TenantCount(stats, "joined") + TenantCount(stats, "cache_hits"),
+            kCopies - 1);
+  const service::ServiceCounters c = server.Counters();
+  EXPECT_EQ(c.joined + c.cache_hits, static_cast<std::uint64_t>(kCopies - 1));
+  EXPECT_EQ(c.completed_ok, static_cast<std::uint64_t>(kCopies));
+}
+
+TEST(SingleflightTest, CancelledLeaderHandsTheSolveToAFollower) {
+  ServerOptions options;
+  options.workers = 4;
+  PipeServer server(options);
+  ResponseBook book(server);
+  JsonObject uncached;
+  uncached["cache"] = false;
+  server.Send(SlowRequest("fresh", std::move(uncached)));  // the reference
+  server.Send(SlowRequest("lead"));
+  server.Send(SlowRequest("f1"));
+  server.Send(SlowRequest("f2"));
+  book.AwaitJoined(2);
+  server.Send(R"({"verb":"cancel","id":"c","target":"lead"})");
+  EXPECT_TRUE(JsonValue::Parse(book.Await("c")).GetBool("cancelled", false));
+
+  // The leader's error is its own; the followers get a real solve.
+  EXPECT_EQ(ErrorCode(book.Await("lead")), service::kErrCancelled);
+  const std::string f1 = book.Await("f1");
+  const std::string f2 = book.Await("f2");
+  ASSERT_TRUE(JsonValue::Parse(f1).GetBool("ok", false)) << f1;
+  EXPECT_EQ(StripId(f2), StripId(f1));
+  EXPECT_EQ(StripId(book.Await("fresh")), StripId(f1));
+  const JsonValue stats = book.Stats();
+  EXPECT_EQ(TenantCount(stats, "exec"), 2);  // the reference and the re-lead
+  EXPECT_EQ(TenantCount(stats, "cancelled"), 1);
+}
+
+TEST(SingleflightTest, ParkedFollowerGetsItsOwnCancelOrDeadline) {
+  ServerOptions options;
+  options.workers = 4;
+  PipeServer server(options);
+  ResponseBook book(server);
+  server.Send(SlowRequest("lead"));
+  server.Send(SlowRequest("cancel-me"));
+  JsonObject late;
+  late["deadline_ms"] = 250;  // fires while parked behind the slow leader
+  server.Send(SlowRequest("late", std::move(late)));
+  server.Send(SlowRequest("ok"));
+  book.AwaitJoined(3);
+  server.Send(R"({"verb":"cancel","id":"c","target":"cancel-me"})");
+  EXPECT_TRUE(JsonValue::Parse(book.Await("c")).GetBool("cancelled", false));
+
+  const std::string lead = book.Await("lead");
+  ASSERT_TRUE(JsonValue::Parse(lead).GetBool("ok", false)) << lead;
+  EXPECT_EQ(StripId(book.Await("ok")), StripId(lead));
+  EXPECT_EQ(ErrorCode(book.Await("cancel-me")), service::kErrCancelled);
+  EXPECT_EQ(ErrorCode(book.Await("late")), service::kErrDeadline);
+  const JsonValue stats = book.Stats();
+  EXPECT_EQ(TenantCount(stats, "exec"), 1);
+  EXPECT_EQ(TenantCount(stats, "joined"), 3);
+}
+
+TEST(SingleflightTest, UncacheableCopiesNeverJoin) {
+  const auto run = [](ServerOptions options, JsonObject extra) {
+    options.workers = 4;
+    PipeServer server(options);
+    ResponseBook book(server);
+    extra["algo"] = "par";
+    const int kCopies = 4;
+    for (int i = 0; i < kCopies; ++i) {
+      server.Send(MakeRequest("schedule", ServiceInstance(12),
+                              Fields("u" + std::to_string(i), extra)));
+    }
+    for (int i = 0; i < kCopies; ++i) {
+      const std::string line = book.Await("u" + std::to_string(i));
+      EXPECT_TRUE(JsonValue::Parse(line).GetBool("ok", false)) << line;
+    }
+    const JsonValue stats = book.Stats();
+    EXPECT_EQ(TenantCount(stats, "exec"), kCopies);
+    EXPECT_EQ(stats.At("counters").GetInt("joined", -1), 0);
+  };
+  JsonObject opted_out;
+  opted_out["iterations"] = 2000;
+  opted_out["cache"] = false;
+  run(ServerOptions{}, opted_out);
+  JsonObject budgeted;
+  budgeted["budget"] = 0.05;
+  run(ServerOptions{}, budgeted);
+  ServerOptions cache_off;
+  cache_off.result_cache = false;
+  JsonObject plain;
+  plain["iterations"] = 2000;
+  run(cache_off, plain);
+}
+
+TEST(SingleflightTest, ShutdownAnswersParkedFollowersBeforeTheAck) {
+  ServerOptions options;
+  options.workers = 4;
+  PipeServer server(options);
+  ResponseBook book(server);
+  server.Send(SlowRequest("lead"));
+  server.Send(SlowRequest("f1"));
+  server.Send(SlowRequest("f2"));
+  book.AwaitJoined(2);
+  server.Send(R"({"verb":"shutdown","id":"bye"})");
+  std::vector<std::string> ids;
+  for (;;) {
+    std::string line;
+    ASSERT_TRUE(server.Pipe().Receive(line));
+    ids.push_back(IdOf(line));
+    if (ids.back() == "bye") break;
+    EXPECT_EQ(ErrorCode(line), "") << line;
+  }
+  server.MarkStopped();
+  std::sort(ids.begin(), ids.end() - 1);
+  EXPECT_EQ(ids, (std::vector<std::string>{"f1", "f2", "lead", "bye"}));
+}
+
+TEST(SingleflightTest, ResentParkedFollowerIsDroppedAndAnsweredOnce) {
+  ServerOptions options;
+  options.workers = 4;
+  PipeServer server(options);
+  ResponseBook book(server);
+  server.Send(SlowRequest("lead"));
+  const std::string follower = SlowRequest("f1");
+  server.Send(follower);
+  book.AwaitJoined(1);
+  server.Send(follower);  // a reconnecting client's resend
+  EXPECT_EQ(book.Stats().At("counters").GetInt("deduped", -1), 1);
+
+  const std::string lead = book.Await("lead");
+  EXPECT_EQ(StripId(book.Await("f1")), StripId(lead));
+  server.Send(R"({"verb":"shutdown","id":"bye"})");
+  std::string line;
+  while (server.Pipe().Receive(line)) {
+    EXPECT_NE(IdOf(line), "f1") << "second answer for the resent id";
+    if (IdOf(line) == "bye") break;
+  }
+  server.MarkStopped();
+  EXPECT_EQ(server.Counters().completed_ok, 2u);
 }
 
 }  // namespace

@@ -508,7 +508,7 @@ void PrintServeCounters(const service::RescheddServer& server) {
   const service::ServiceCounters c = server.Counters();
   std::cerr << "reschedd: " << c.received << " request(s), " << c.accepted
             << " accepted, " << c.rejected_overloaded << " overloaded, "
-            << c.cache_hits << " cache hit(s)\n";
+            << c.cache_hits << " cache hit(s), " << c.joined << " joined\n";
 }
 
 int CmdServe(const Flags& flags) {
