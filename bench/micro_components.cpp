@@ -1,11 +1,23 @@
 // Micro-benchmarks (google-benchmark) for the individual components: CPM
 // window recomputation, placement enumeration, floorplan feasibility
 // queries, instance generation, the PA core and one IS-k window. These
-// back the Table-I runtime decomposition with per-component numbers.
+// back the Table-I runtime decomposition with per-component numbers. The
+// Ingest* cases time reschedd's request ingest stage by stage (run them
+// alone with --benchmark_filter=Ingest).
 #include <benchmark/benchmark.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "bench_common.hpp"
+#include "io/instance_hash.hpp"
+#include "io/instance_io.hpp"
+#include "service/protocol.hpp"
 #include "taskgraph/timing.hpp"
+
+#ifndef RESCHED_DATA_DIR
+#error "RESCHED_DATA_DIR must be defined by the build"
+#endif
 
 using namespace resched;
 using namespace resched::bench;
@@ -127,6 +139,77 @@ void BM_Validator(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Validator)->Arg(10)->Arg(100);
+
+/// A schedule request line carrying `instance` inline, as a client sends it.
+std::string RequestLine(const JsonValue& instance) {
+  JsonObject request;
+  request["verb"] = "schedule";
+  request["id"] = "bench";
+  request["algo"] = "pa";
+  request["instance"] = instance;
+  return JsonValue(std::move(request)).Dump(-1);
+}
+
+void CountRequests(benchmark::State& state, std::size_t bytes) {
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+
+void BM_IngestParseRequest(benchmark::State& state) {
+  const std::string line = RequestLine(InstanceToJson(MakeBenchInstance(
+      static_cast<std::size_t>(state.range(0)))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service::ParseRequest(line));
+  }
+  CountRequests(state, line.size());
+}
+BENCHMARK(BM_IngestParseRequest)->Arg(40)->Arg(70)->Arg(100);
+
+/// ParseRequest on the shipped data/instances/large_100.json; the perf
+/// smoke gates its rate (tests/perf_baseline.txt, `ingest:` entry).
+void BM_IngestParseRequestLarge100(benchmark::State& state) {
+  std::ifstream in(std::string(RESCHED_DATA_DIR) +
+                   "/instances/large_100.json");
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::string line = RequestLine(JsonValue::Parse(text.str()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service::ParseRequest(line));
+  }
+  CountRequests(state, line.size());
+}
+BENCHMARK(BM_IngestParseRequestLarge100);
+
+void BM_IngestCanonicalInstanceText(benchmark::State& state) {
+  const Instance inst =
+      MakeBenchInstance(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CanonicalInstanceText(inst));
+  }
+  CountRequests(state, CanonicalInstanceText(inst).size());
+}
+BENCHMARK(BM_IngestCanonicalInstanceText)->Arg(40)->Arg(70)->Arg(100);
+
+void BM_IngestHashCanonicalText(benchmark::State& state) {
+  const std::string text = CanonicalInstanceText(
+      MakeBenchInstance(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(HashCanonicalText(text));
+  }
+  CountRequests(state, text.size());
+}
+BENCHMARK(BM_IngestHashCanonicalText)->Arg(40)->Arg(70)->Arg(100);
+
+void BM_IngestInstanceToJsonDump(benchmark::State& state) {
+  const Instance inst =
+      MakeBenchInstance(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(InstanceToJson(inst).Dump(-1));
+  }
+  CountRequests(state, CanonicalInstanceText(inst).size());
+}
+BENCHMARK(BM_IngestInstanceToJsonDump)->Arg(40)->Arg(70)->Arg(100);
 
 }  // namespace
 

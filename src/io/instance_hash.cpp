@@ -24,17 +24,22 @@ std::uint64_t Fnv1a64(std::string_view text, std::uint64_t basis) {
 }
 
 Digest128 HashCanonicalText(std::string_view text) {
-  Digest128 d;
   // Two decorrelated streams: the standard FNV offset basis and a second
   // basis derived from it by the splitmix64 constant. A collision now needs
-  // to defeat both streams simultaneously.
-  d.lo = Fnv1a64(text, 0xCBF29CE484222325ULL);
-  d.hi = Fnv1a64(text, 0xCBF29CE484222325ULL ^ 0x9E3779B97F4A7C15ULL);
+  // to defeat both streams simultaneously. They run in one loop: the two
+  // multiply chains are independent, so they overlap in the pipeline.
+  constexpr std::uint64_t kPrime = 0x100000001B3ULL;
+  std::uint64_t lo = 0xCBF29CE484222325ULL;
+  std::uint64_t hi = 0xCBF29CE484222325ULL ^ 0x9E3779B97F4A7C15ULL;
+  for (const char c : text) {
+    const auto b = static_cast<unsigned char>(c);
+    lo = (lo ^ b) * kPrime;
+    hi = (hi ^ b) * kPrime;
+  }
+  Digest128 d;
+  d.hi = hi;
+  d.lo = lo;
   return d;
-}
-
-std::string CanonicalInstanceText(const Instance& instance) {
-  return InstanceToJson(instance).Dump(-1);
 }
 
 Digest128 HashInstance(const Instance& instance) {

@@ -1,13 +1,12 @@
 // Canonical content hashing of problem instances (and other canonical
-// JSON texts) for the reschedd result cache and journal.
+// JSON texts) for the reschedd result cache and floorplan-cache pool.
 //
-// Canonicalization rides on the existing serialization invariants:
-// InstanceToJson emits objects through std::map (deterministic key order)
-// and Dump(-1) is a pure function of the value, so two semantically
-// identical instances — however their source documents were formatted —
-// produce the same compact text and hence the same digest. The digest is
-// 128 bits (two independent 64-bit FNV-1a streams), wide enough that the
-// result cache can treat digest equality as instance equality.
+// An instance digest is taken over CanonicalInstanceText
+// (io/instance_io.hpp), which is written straight from the Instance: two
+// semantically identical instances, however their source documents were
+// formatted, produce the same text and hence the same digest. The digest
+// is 128 bits (two independent 64-bit FNV-1a streams), wide enough that
+// the result cache can treat digest equality as instance equality.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +35,9 @@ struct Digest128 {
 /// FNV-1a over `text` with a caller-chosen offset basis (64-bit stream).
 std::uint64_t Fnv1a64(std::string_view text, std::uint64_t basis);
 
-/// 128-bit digest of an arbitrary canonical text.
+/// 128-bit digest of an arbitrary canonical text: lo is Fnv1a64 with the
+/// standard offset basis, hi with a second, decorrelated basis.
 Digest128 HashCanonicalText(std::string_view text);
-
-/// Canonical compact single-line JSON form of an instance — the text the
-/// digest is defined over (also the journal's instance representation).
-std::string CanonicalInstanceText(const Instance& instance);
 
 /// Digest of CanonicalInstanceText(instance).
 Digest128 HashInstance(const Instance& instance);

@@ -1,31 +1,13 @@
 #include "io/instance_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 namespace resched {
 
 namespace {
-
-JsonValue DeviceToJson(const FpgaDevice& device) {
-  JsonArray kinds;
-  for (std::size_t k = 0; k < device.Model().NumKinds(); ++k) {
-    const auto& info = device.Model().Kind(k);
-    kinds.push_back(JsonObject{{"name", info.name},
-                               {"bits_per_unit", info.bits_per_unit}});
-  }
-  JsonArray columns;
-  for (const ColumnSpec& col : device.Geometry().columns) {
-    columns.push_back(
-        JsonObject{{"kind", device.Model().Kind(col.kind).name},
-                   {"units", col.units_per_cell}});
-  }
-  return JsonObject{
-      {"name", device.Name()},
-      {"resource_kinds", std::move(kinds)},
-      {"fabric", JsonObject{{"rows", device.Geometry().rows},
-                            {"columns", std::move(columns)}}}};
-}
 
 FpgaDevice DeviceFromJson(const JsonValue& json) {
   std::vector<ResourceModel::KindInfo> kinds;
@@ -45,23 +27,6 @@ FpgaDevice DeviceFromJson(const JsonValue& json) {
   }
   return FpgaDevice(json.GetString("name", "device"), std::move(model),
                     std::move(geom));
-}
-
-JsonValue ImplToJson(const Implementation& impl, const ResourceModel& model) {
-  JsonObject obj{{"name", impl.name},
-                 {"kind", impl.IsHardware() ? "hw" : "sw"},
-                 {"time", impl.exec_time}};
-  if (impl.IsHardware()) {
-    JsonObject res;
-    for (std::size_t k = 0; k < impl.res.size(); ++k) {
-      if (impl.res[k] != 0) res.emplace(model.Kind(k).name, impl.res[k]);
-    }
-    obj.emplace("res", std::move(res));
-    if (impl.module_id >= 0) {
-      obj.emplace("module", static_cast<std::int64_t>(impl.module_id));
-    }
-  }
-  return JsonValue(std::move(obj));
 }
 
 Implementation ImplFromJson(const JsonValue& json, const ResourceModel& model) {
@@ -86,47 +51,158 @@ Implementation ImplFromJson(const JsonValue& json, const ResourceModel& model) {
   return impl;
 }
 
+// The canonical writer. Every object's keys go out in byte order (the
+// order a JsonObject iterates them), so the text is a fixed point of
+// JsonValue::Parse + Dump(-1).
+
+/// Appends `,"key":` for every member after an object's first.
+void AppendKey(std::string& out, const char* key) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+}
+
+void AppendImpl(std::string& out, const Implementation& impl,
+                const ResourceModel& model,
+                const std::vector<std::size_t>& kinds_by_name) {
+  out += impl.IsHardware() ? "{\"kind\":\"hw\"" : "{\"kind\":\"sw\"";
+  if (impl.IsHardware() && impl.module_id >= 0) {
+    AppendKey(out, "module");
+    AppendJsonInt(out, impl.module_id);
+  }
+  AppendKey(out, "name");
+  AppendJsonString(out, impl.name);
+  if (impl.IsHardware()) {
+    AppendKey(out, "res");
+    out += '{';
+    const std::string* last = nullptr;
+    for (const std::size_t k : kinds_by_name) {
+      const std::string& name = model.Kind(k).name;
+      // Zero entries are omitted; of two kinds sharing a name the first
+      // non-zero one wins, as a JSON object holds one value per key.
+      if (k >= impl.res.size() || impl.res[k] == 0 ||
+          (last != nullptr && *last == name)) {
+        continue;
+      }
+      if (last != nullptr) out += ',';
+      last = &name;
+      AppendJsonString(out, name);
+      out += ':';
+      AppendJsonInt(out, impl.res[k]);
+    }
+    out += '}';
+  }
+  AppendKey(out, "time");
+  AppendJsonInt(out, impl.exec_time);
+  out += '}';
+}
+
+void AppendPlatform(std::string& out, const Platform& platform) {
+  const FpgaDevice& device = platform.Device();
+  const ResourceModel& model = device.Model();
+  out += "{\"device\":{\"fabric\":{\"columns\":[";
+  const std::vector<ColumnSpec>& columns = device.Geometry().columns;
+  for (std::size_t c = 0; c < columns.size(); ++c) {
+    if (c != 0) out += ',';
+    out += "{\"kind\":";
+    AppendJsonString(out, model.Kind(columns[c].kind).name);
+    AppendKey(out, "units");
+    AppendJsonInt(out, columns[c].units_per_cell);
+    out += '}';
+  }
+  out += ']';
+  AppendKey(out, "rows");
+  AppendJsonInt(out, static_cast<std::int64_t>(device.Geometry().rows));
+  out += '}';
+  AppendKey(out, "name");
+  AppendJsonString(out, device.Name());
+  AppendKey(out, "resource_kinds");
+  out += '[';
+  for (std::size_t k = 0; k < model.NumKinds(); ++k) {
+    if (k != 0) out += ',';
+    out += "{\"bits_per_unit\":";
+    AppendJsonDouble(out, model.Kind(k).bits_per_unit);
+    AppendKey(out, "name");
+    AppendJsonString(out, model.Kind(k).name);
+    out += '}';
+  }
+  out += "]}";
+  AppendKey(out, "hw_sw_bandwidth_bytes_per_sec");
+  AppendJsonDouble(out, platform.HwSwBandwidthBytesPerSec());
+  AppendKey(out, "name");
+  AppendJsonString(out, platform.Name());
+  AppendKey(out, "processors");
+  AppendJsonInt(out, static_cast<std::int64_t>(platform.NumProcessors()));
+  AppendKey(out, "recfreq_bits_per_sec");
+  AppendJsonDouble(out, platform.RecFreqBitsPerSec());
+  AppendKey(out, "reconfigurators");
+  AppendJsonInt(out, static_cast<std::int64_t>(platform.NumReconfigurators()));
+  out += '}';
+}
+
 }  // namespace
 
-JsonValue InstanceToJson(const Instance& instance) {
+std::string CanonicalInstanceText(const Instance& instance,
+                                  ByteSpan* platform_span) {
+  const TaskGraph& graph = instance.graph;
   const ResourceModel& model = instance.platform.Device().Model();
-
-  JsonArray tasks;
-  for (std::size_t t = 0; t < instance.graph.NumTasks(); ++t) {
-    const Task& task = instance.graph.GetTask(static_cast<TaskId>(t));
-    JsonArray impls;
-    for (const Implementation& impl : task.impls) {
-      impls.push_back(ImplToJson(impl, model));
-    }
-    tasks.push_back(JsonObject{{"name", task.name}, {"impls", std::move(impls)}});
-  }
-
-  JsonArray edges;
-  for (std::size_t t = 0; t < instance.graph.NumTasks(); ++t) {
-    for (const TaskId s : instance.graph.Successors(static_cast<TaskId>(t))) {
+  std::string out = "{\"edges\":[";
+  bool first = true;
+  for (std::size_t t = 0; t < graph.NumTasks(); ++t) {
+    const auto from = static_cast<TaskId>(t);
+    for (const TaskId to : graph.Successors(from)) {
+      if (!first) out += ',';
+      first = false;
+      out += '[';
+      AppendJsonInt(out, static_cast<std::int64_t>(from));
+      out += ',';
+      AppendJsonInt(out, static_cast<std::int64_t>(to));
       const std::int64_t bytes =
-          instance.graph.EdgeData(static_cast<TaskId>(t), s);
-      JsonArray edge{JsonValue(static_cast<std::int64_t>(t)),
-                     JsonValue(static_cast<std::int64_t>(s))};
-      if (bytes > 0) edge.push_back(JsonValue(bytes));
-      edges.push_back(std::move(edge));
+          graph.HasEdgeData() ? graph.EdgeData(from, to) : 0;
+      if (bytes > 0) {
+        out += ',';
+        AppendJsonInt(out, bytes);
+      }
+      out += ']';
     }
   }
+  out += "],\"format\":\"resched-instance\"";
+  AppendKey(out, "name");
+  AppendJsonString(out, instance.name);
+  AppendKey(out, "platform");
+  const std::size_t platform_begin = out.size();
+  AppendPlatform(out, instance.platform);
+  if (platform_span != nullptr) {
+    *platform_span = ByteSpan{platform_begin, out.size()};
+  }
 
-  return JsonObject{
-      {"format", "resched-instance"},
-      {"version", 1},
-      {"name", instance.name},
-      {"platform",
-       JsonObject{{"name", instance.platform.Name()},
-                  {"processors", instance.platform.NumProcessors()},
-                  {"reconfigurators", instance.platform.NumReconfigurators()},
-                  {"hw_sw_bandwidth_bytes_per_sec",
-                   instance.platform.HwSwBandwidthBytesPerSec()},
-                  {"recfreq_bits_per_sec", instance.platform.RecFreqBitsPerSec()},
-                  {"device", DeviceToJson(instance.platform.Device())}}},
-      {"tasks", std::move(tasks)},
-      {"edges", std::move(edges)}};
+  // `res` keys go out in name order, not kind-index order.
+  std::vector<std::size_t> kinds_by_name(model.NumKinds());
+  for (std::size_t k = 0; k < kinds_by_name.size(); ++k) kinds_by_name[k] = k;
+  std::stable_sort(kinds_by_name.begin(), kinds_by_name.end(),
+                   [&model](std::size_t a, std::size_t b) {
+                     return model.Kind(a).name < model.Kind(b).name;
+                   });
+  AppendKey(out, "tasks");
+  out += '[';
+  for (std::size_t t = 0; t < graph.NumTasks(); ++t) {
+    const Task& task = graph.GetTask(static_cast<TaskId>(t));
+    out += t == 0 ? "{\"impls\":[" : ",{\"impls\":[";
+    for (std::size_t i = 0; i < task.impls.size(); ++i) {
+      if (i != 0) out += ',';
+      AppendImpl(out, task.impls[i], model, kinds_by_name);
+    }
+    out += ']';
+    AppendKey(out, "name");
+    AppendJsonString(out, task.name);
+    out += '}';
+  }
+  out += "],\"version\":1}";
+  return out;
+}
+
+JsonValue InstanceToJson(const Instance& instance) {
+  return JsonValue::Parse(CanonicalInstanceText(instance));
 }
 
 Instance InstanceFromJson(const JsonValue& json) {

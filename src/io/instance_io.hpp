@@ -28,7 +28,26 @@
 
 namespace resched {
 
+/// Byte range [begin, end) inside a text.
+struct ByteSpan {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// The canonical text of an instance: compact single-line JSON with every
+/// object's keys in byte order (`res` keys by kind name, not kind index),
+/// integers exact and doubles as %.17g (".0" appended when integral). It
+/// is the one definition of the format's bytes: written straight from the
+/// Instance, a fixed point of JsonValue::Parse + Dump(-1), and the text
+/// instance digests are taken over (io/instance_hash.hpp). When
+/// `platform_span` is set it receives the bytes of the "platform" object.
+std::string CanonicalInstanceText(const Instance& instance,
+                                  ByteSpan* platform_span = nullptr);
+
+/// JsonValue::Parse(CanonicalInstanceText(instance)).
 JsonValue InstanceToJson(const Instance& instance);
+/// Reads and validates an instance document (throws InstanceError or
+/// JsonError).
 Instance InstanceFromJson(const JsonValue& json);
 
 std::string InstanceToString(const Instance& instance);

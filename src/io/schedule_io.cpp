@@ -28,56 +28,71 @@ ResourceVec ResFromJson(const JsonValue& json, const ResourceModel& model) {
 JsonValue ScheduleToJson(const Instance& instance, const Schedule& schedule) {
   const ResourceModel& model = instance.platform.Device().Model();
 
+  // Members go in by emplace: a braced JsonObject{...} builds from an
+  // initializer_list, whose elements can only be copied, so it would
+  // deep-copy every nested array.
   JsonArray tasks;
+  tasks.reserve(schedule.task_slots.size());
   for (const TaskSlot& slot : schedule.task_slots) {
-    tasks.push_back(JsonObject{
-        {"task", static_cast<std::int64_t>(slot.task)},
-        {"impl", slot.impl_index},
-        {"target", slot.OnFpga() ? "region" : "cpu"},
-        {"index", slot.target_index},
-        {"start", slot.start},
-        {"end", slot.end}});
+    JsonObject obj;
+    obj.emplace("task", static_cast<std::int64_t>(slot.task));
+    obj.emplace("impl", slot.impl_index);
+    obj.emplace("target", slot.OnFpga() ? "region" : "cpu");
+    obj.emplace("index", slot.target_index);
+    obj.emplace("start", slot.start);
+    obj.emplace("end", slot.end);
+    tasks.emplace_back(std::move(obj));
   }
 
   JsonArray regions;
+  regions.reserve(schedule.regions.size());
   for (const RegionInfo& region : schedule.regions) {
     JsonArray ids;
+    ids.reserve(region.tasks.size());
     for (const TaskId t : region.tasks) {
-      ids.push_back(JsonValue(static_cast<std::int64_t>(t)));
+      ids.emplace_back(static_cast<std::int64_t>(t));
     }
-    regions.push_back(JsonObject{{"res", ResToJson(region.res, model)},
-                                 {"reconf_time", region.reconf_time},
-                                 {"tasks", std::move(ids)}});
+    JsonObject obj;
+    obj.emplace("res", ResToJson(region.res, model));
+    obj.emplace("reconf_time", region.reconf_time);
+    obj.emplace("tasks", std::move(ids));
+    regions.emplace_back(std::move(obj));
   }
 
   JsonArray reconfs;
+  reconfs.reserve(schedule.reconfigurations.size());
   for (const ReconfSlot& r : schedule.reconfigurations) {
-    reconfs.push_back(JsonObject{
-        {"region", r.region},
-        {"loads", static_cast<std::int64_t>(r.loads_task)},
-        {"start", r.start},
-        {"end", r.end},
-        {"controller", r.controller}});
+    JsonObject obj;
+    obj.emplace("region", r.region);
+    obj.emplace("loads", static_cast<std::int64_t>(r.loads_task));
+    obj.emplace("start", r.start);
+    obj.emplace("end", r.end);
+    obj.emplace("controller", r.controller);
+    reconfs.emplace_back(std::move(obj));
   }
 
-  JsonObject doc{{"format", "resched-schedule"},
-                 {"version", 1},
-                 {"instance", instance.name},
-                 {"algorithm", schedule.algorithm},
-                 {"makespan", schedule.makespan},
-                 {"scheduling_seconds", schedule.scheduling_seconds},
-                 {"floorplanning_seconds", schedule.floorplanning_seconds},
-                 {"floorplan_retries", schedule.floorplan_retries},
-                 {"tasks", std::move(tasks)},
-                 {"regions", std::move(regions)},
-                 {"reconfigurations", std::move(reconfs)}};
+  JsonObject doc;
+  doc.emplace("format", "resched-schedule");
+  doc.emplace("version", 1);
+  doc.emplace("instance", instance.name);
+  doc.emplace("algorithm", schedule.algorithm);
+  doc.emplace("makespan", schedule.makespan);
+  doc.emplace("scheduling_seconds", schedule.scheduling_seconds);
+  doc.emplace("floorplanning_seconds", schedule.floorplanning_seconds);
+  doc.emplace("floorplan_retries", schedule.floorplan_retries);
+  doc.emplace("tasks", std::move(tasks));
+  doc.emplace("regions", std::move(regions));
+  doc.emplace("reconfigurations", std::move(reconfs));
   if (!schedule.floorplan.empty()) {
     JsonArray rects;
+    rects.reserve(schedule.floorplan.size());
     for (const Rect& r : schedule.floorplan) {
-      rects.push_back(JsonObject{{"col", r.col0},
-                                 {"row", r.row0},
-                                 {"w", r.width},
-                                 {"h", r.height}});
+      JsonObject obj;
+      obj.emplace("col", r.col0);
+      obj.emplace("row", r.row0);
+      obj.emplace("w", r.width);
+      obj.emplace("h", r.height);
+      rects.emplace_back(std::move(obj));
     }
     doc.emplace("floorplan", std::move(rects));
   }

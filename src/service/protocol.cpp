@@ -80,19 +80,21 @@ void ParseInstancePayload(const JsonValue& doc, Request& req) {
                         "an inline \"instance\" object is required", req.id);
   }
   try {
+    // InstanceFromJson validates the graph against its device.
     req.instance =
         std::make_shared<const Instance>(InstanceFromJson(doc.At("instance")));
-    req.instance->graph.Validate(req.instance->platform.Device());
   } catch (const InstanceError& e) {
     throw ProtocolError(kErrBadRequest, e.what(), req.id);
   }
-  // One canonical serialization feeds both digests: the full-instance
-  // digest keys the result cache, the platform digest keys the shared
-  // floorplan-cache pool (identical fabrics share one cache).
-  const JsonValue canonical = InstanceToJson(*req.instance);
-  req.instance_digest = HashCanonicalText(canonical.Dump(-1));
-  req.platform_digest =
-      HashCanonicalText(canonical.At("platform").Dump(-1));
+  // One canonical text feeds both digests: the whole text keys the result
+  // cache, the bytes of its platform object key the shared floorplan-cache
+  // pool (identical fabrics share one cache).
+  ByteSpan platform;
+  const std::string canonical =
+      CanonicalInstanceText(*req.instance, &platform);
+  req.instance_digest = HashCanonicalText(canonical);
+  req.platform_digest = HashCanonicalText(std::string_view(canonical).substr(
+      platform.begin, platform.end - platform.begin));
 }
 
 }  // namespace

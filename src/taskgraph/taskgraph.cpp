@@ -81,10 +81,6 @@ bool TaskGraph::HasEdge(TaskId from, TaskId to) const {
 
 std::vector<TaskId> TaskGraph::TopologicalOrder() const {
   std::vector<std::size_t> indegree(tasks_.size(), 0);
-  for (const auto& ps : preds_) {
-    // indegree computed from preds for clarity
-    (void)ps;
-  }
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
     indegree[t] = preds_[t].size();
   }

@@ -84,12 +84,15 @@ bool JsonValue::GetBool(const std::string& key, bool fallback) const {
 
 // ---------------------------------------------------------------- writing
 
-namespace {
-
-void AppendEscaped(std::string& out, const std::string& s) {
+void AppendJsonString(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (const char raw : s) {
-    const auto c = static_cast<unsigned char>(raw);
+  std::size_t run = 0;  // start of the pending run of verbatim bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -99,17 +102,33 @@ void AppendEscaped(std::string& out, const std::string& s) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
     }
   }
+  out.append(s, run, s.size() - run);
   out += '"';
 }
+
+void AppendJsonInt(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  (void)ec;  // 24 bytes hold any int64
+  out.append(buf, end);
+}
+
+void AppendJsonDouble(std::string& out, double d) {
+  if (!std::isfinite(d)) throw JsonError("cannot serialize non-finite number");
+  char buf[40];
+  const int n = std::snprintf(buf, sizeof buf, "%.17g", d);
+  const std::string_view text(buf, static_cast<std::size_t>(n));
+  out += text;
+  // "34" would parse back as an integer.
+  if (text.find_first_of(".eE") == std::string_view::npos) out += ".0";
+}
+
+namespace {
 
 void AppendNewlineIndent(std::string& out, int indent, int depth) {
   if (indent < 0) return;
@@ -132,21 +151,11 @@ void JsonValue::DumpTo(std::string& out, int indent, int depth) const {
   } else if (IsBool()) {
     out += std::get<bool>(value_) ? "true" : "false";
   } else if (IsInt()) {
-    out += std::to_string(std::get<std::int64_t>(value_));
+    AppendJsonInt(out, std::get<std::int64_t>(value_));
   } else if (IsDouble()) {
-    const double d = std::get<double>(value_);
-    if (!std::isfinite(d)) throw JsonError("cannot serialize non-finite number");
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", d);
-    out += buf;
-    // Keep the value a double through a round-trip: "34" would parse back
-    // as an integer.
-    if (out.find_first_of(".eE", out.size() - std::strlen(buf)) ==
-        std::string::npos) {
-      out += ".0";
-    }
+    AppendJsonDouble(out, std::get<double>(value_));
   } else if (IsString()) {
-    AppendEscaped(out, std::get<std::string>(value_));
+    AppendJsonString(out, std::get<std::string>(value_));
   } else if (IsArray()) {
     const auto& arr = std::get<JsonArray>(value_);
     if (arr.empty()) {
@@ -173,7 +182,7 @@ void JsonValue::DumpTo(std::string& out, int indent, int depth) const {
       if (!first) out += ',';
       first = false;
       AppendNewlineIndent(out, indent, depth + 1);
-      AppendEscaped(out, k);
+      AppendJsonString(out, k);
       out += indent < 0 ? ":" : ": ";
       v.DumpTo(out, indent, depth + 1);
     }
@@ -303,10 +312,14 @@ class Parser {
       std::string key = ParseString();
       SkipWhitespace();
       Expect(':');
-      if (limits_.reject_duplicate_keys && obj.count(key) != 0) {
-        Fail("duplicate object key \"" + key + "\"");
+      const auto [it, inserted] = obj.try_emplace(std::move(key));
+      if (inserted) {
+        it->second = ParseValue();
+      } else if (limits_.reject_duplicate_keys) {
+        Fail("duplicate object key \"" + it->first + "\"");
+      } else {
+        (void)ParseValue();  // the first occurrence wins
       }
-      obj.emplace(std::move(key), ParseValue());
       SkipWhitespace();
       const char c = Peek();
       if (c == ',') {
@@ -350,6 +363,15 @@ class Parser {
     Expect('"');
     std::string out;
     for (;;) {
+      // Copy the run up to the next quote, backslash or control byte in
+      // one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const auto b = static_cast<unsigned char>(text_[pos_]);
+        if (b == '"' || b == '\\' || b < 0x20) break;
+        ++pos_;
+      }
+      out.append(text_, run, pos_ - run);
       if (pos_ >= text_.size()) Fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
@@ -368,10 +390,8 @@ class Parser {
           case 'u': AppendUnicodeEscape(out); break;
           default: Fail("invalid escape character");
         }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        Fail("raw control character in string");
       } else {
-        out += c;
+        Fail("raw control character in string");
       }
     }
   }

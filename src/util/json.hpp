@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -113,5 +114,18 @@ class JsonValue {
                JsonArray, JsonObject>
       value_;
 };
+
+// Append helpers behind JsonValue::Dump, shared with the direct writers
+// in src/io (the canonical instance text) so both emit the same bytes for
+// the same value.
+
+/// A quoted string literal: `"` and `\` escaped, control bytes as \b \f
+/// \n \r \t or \u00xx, every other byte (UTF-8 included) verbatim.
+void AppendJsonString(std::string& out, std::string_view s);
+/// A decimal integer literal.
+void AppendJsonInt(std::string& out, std::int64_t v);
+/// `%.17g`, plus ".0" when that would read back as an integer, so the value
+/// stays a double through a round trip. Throws JsonError on inf/NaN.
+void AppendJsonDouble(std::string& out, double d);
 
 }  // namespace resched

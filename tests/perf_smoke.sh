@@ -6,10 +6,12 @@
 # committed floor (tests/perf_baseline.txt — `validate:` prefix selects
 # the validator floors). Both binaries abort on any fast/reference output
 # disagreement (makespans, violation lists), so this gate also re-proves
-# bit-identity on every CI run.
+# bit-identity on every CI run. Given bench/micro_components, it also
+# gates reschedd request ingest: ParseRequest/s on the shipped
+# data/instances/large_100.json (`ingest:` prefix).
 #
 # Usage: perf_smoke.sh <micro_restart-binary> <baseline-file> [config] \
-#                      [micro_validate-binary]
+#                      [micro_validate-binary] [micro_components-binary]
 #   RESCHED_PERF_BASELINE  overrides the baseline file (per-machine floors)
 #   RESCHED_PERF_SCALE     overrides the bench scale (default 0.34)
 set -euo pipefail
@@ -18,6 +20,7 @@ BIN=$1
 BASELINE=${RESCHED_PERF_BASELINE:-$2}
 CONFIG=${3:-Release}
 VALIDATE_BIN=${4:-}
+COMPONENTS_BIN=${5:-}
 
 if [[ "$CONFIG" != "Release" ]]; then
   echo "perf_smoke: skipped ($CONFIG build — floors are for Release)"
@@ -47,14 +50,26 @@ if [[ -n "$VALIDATE_BIN" ]]; then
   }
 fi
 
+if [[ -n "$COMPONENTS_BIN" ]]; then
+  [[ -x "$COMPONENTS_BIN" ]] || {
+    echo "perf_smoke: missing binary $COMPONENTS_BIN" >&2; exit 1; }
+  "$COMPONENTS_BIN" --benchmark_filter='^BM_IngestParseRequestLarge100$' \
+      --benchmark_format=json > "$OUT/ingest.json" || {
+    echo "perf_smoke: micro_components ingest case failed:" >&2
+    cat "$OUT/ingest.json" >&2
+    exit 1
+  }
+fi
+
 python3 - "$OUT" "$BASELINE" <<'EOF'
 import csv
+import json
 import os
 import sys
 
 out_dir, baseline_path = sys.argv[1], sys.argv[2]
 
-restart_floors, validate_floors = {}, {}
+restart_floors, validate_floors, ingest_floors = {}, {}, {}
 with open(baseline_path) as fh:
     for line in fh:
         line = line.split("#", 1)[0].strip()
@@ -63,21 +78,36 @@ with open(baseline_path) as fh:
         instance, rate = line.split()
         if instance.startswith("validate:"):
             validate_floors[instance.removeprefix("validate:")] = float(rate)
+        elif instance.startswith("ingest:"):
+            ingest_floors[instance.removeprefix("ingest:")] = float(rate)
         else:
             restart_floors[instance] = float(rate)
 
 
-def check(csv_path, floors, row_filter, rate_column, unit):
-    if not floors:
-        return 0
-    if not os.path.exists(csv_path):
-        print(f"perf_smoke: FAIL missing {csv_path}")
-        return 1
+def read_csv(csv_path, row_filter, rate_column):
     measured = {}
     with open(csv_path) as fh:
         for row in csv.DictReader(fh):
             if row_filter(row):
                 measured[row["instance"]] = float(row[rate_column])
+    return measured
+
+
+def read_ingest(json_path):
+    """ParseRequest/s per shipped instance from google-benchmark JSON."""
+    with open(json_path) as fh:
+        runs = json.load(fh)["benchmarks"]
+    return {"large_100": run["items_per_second"] for run in runs
+            if run["name"] == "BM_IngestParseRequestLarge100"}
+
+
+def check(path, floors, read, unit):
+    if not floors:
+        return 0
+    if not os.path.exists(path):
+        print(f"perf_smoke: FAIL missing {path}")
+        return 1
+    measured = read(path)
     status = 0
     for instance, floor in sorted(floors.items()):
         rate = measured.get(instance)
@@ -96,13 +126,19 @@ def check(csv_path, floors, row_filter, rate_column, unit):
 
 status = check(
     os.path.join(out_dir, "micro_restart.csv"), restart_floors,
-    lambda row: row["mode"] == "reuse+cache" and row["threads"] == "8",
-    "restarts_per_sec", "restarts/s")
+    lambda path: read_csv(
+        path, lambda row: row["mode"] == "reuse+cache" and
+        row["threads"] == "8", "restarts_per_sec"),
+    "restarts/s")
 if os.path.exists(os.path.join(out_dir, "validate_log.txt")):
     status |= check(
         os.path.join(out_dir, "micro_validate.csv"), validate_floors,
-        lambda row: row["scan"] == "bitset",
-        "validations_per_sec", "validations/s")
+        lambda path: read_csv(path, lambda row: row["scan"] == "bitset",
+                              "validations_per_sec"),
+        "validations/s")
+if os.path.exists(os.path.join(out_dir, "ingest.json")):
+    status |= check(os.path.join(out_dir, "ingest.json"), ingest_floors,
+                    read_ingest, "requests/s")
 sys.exit(status)
 EOF
 

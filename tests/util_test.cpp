@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "util/csv.hpp"
 #include "util/json.hpp"
@@ -319,6 +321,101 @@ TEST(JsonTest, DefaultLimitsAcceptRealisticDocuments) {
   doc += "0";
   doc += std::string(60, ']');
   EXPECT_NO_THROW((void)JsonValue::Parse(doc));
+}
+
+// The string reader and writer copy runs of plain bytes in bulk; escapes
+// at either end of a run, and runs of every length around them, must come
+// out exactly as a byte-at-a-time loop would produce them.
+
+TEST(JsonTest, EscapesAtTheEdgesOfBulkRuns) {
+  const std::pair<const char*, std::string> cases[] = {
+      {R"("\"abc")", "\"abc"},
+      {R"("abc\\")", "abc\\"},
+      {R"("\n")", "\n"},
+      {R"("\t\u0001x\u001f")", "\t\x01x\x1f"},
+      {R"("ab\/cdé\b\f\r")", "ab/cd\xc3\xa9\b\f\r"},
+      {R"("")", ""},
+  };
+  for (const auto& [text, value] : cases) {
+    const JsonValue v = JsonValue::Parse(text);
+    EXPECT_EQ(v.AsString(), value) << text;
+    EXPECT_EQ(JsonValue::Parse(v.Dump(-1)).AsString(), value) << text;
+  }
+  // Dump escapes only what JSON requires, at any position.
+  EXPECT_EQ(JsonValue(std::string("\"mid\\dle\x01")).Dump(-1),
+            R"("\"mid\\dle\u0001")");
+  EXPECT_EQ(JsonValue(std::string("\x1f" "plain/\xc3\xa9\x7f\n")).Dump(-1),
+            "\"\\u001fplain/\xc3\xa9\x7f\\n\"");
+  std::string out;
+  AppendJsonString(out, "a\"b");
+  EXPECT_EQ(out, R"("a\"b")");
+}
+
+TEST(JsonTest, RawControlByteInAStringIsStillRejected) {
+  for (const std::string& bad :
+       {std::string("\"ab\ncd\""), std::string("\"\x01\""),
+        std::string("\"abc\x1f\"")}) {
+    EXPECT_THROW((void)JsonValue::Parse(bad), JsonError) << bad;
+  }
+  try {
+    (void)JsonValue::Parse(std::string("\"abc\tdef\""));
+    FAIL() << "a raw tab parsed";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("raw control character"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(JsonTest, DuplicateKeysRejectedWhenAskedElseFirstWins) {
+  JsonParseLimits strict;
+  strict.reject_duplicate_keys = true;
+  try {
+    (void)JsonValue::Parse(R"({"alpha":1,"beta":2,"alpha":3})", strict);
+    FAIL() << "a duplicate key parsed";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate object key \"alpha\""),
+              std::string::npos)
+        << e.what();
+  }
+  // The duplicate fails before its value is parsed: the malformed value
+  // after the repeated key is never reached.
+  try {
+    (void)JsonValue::Parse(R"({"k":1,"k":[1,)", strict);
+    FAIL() << "a duplicate key parsed";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate"), std::string::npos)
+        << e.what();
+  }
+  const JsonValue lax =
+      JsonValue::Parse(R"({"k":1,"other":true,"k":{"nested":[2]}})");
+  EXPECT_EQ(lax.At("k").AsInt(), 1);
+  EXPECT_EQ(lax.AsObject().size(), 2u);
+  // The discarded value is still syntax-checked.
+  EXPECT_THROW((void)JsonValue::Parse(R"({"k":1,"k":[1,})"), JsonError);
+}
+
+TEST(JsonTest, Int64ExtremesDumpAndReparseExactly) {
+  for (const std::int64_t v :
+       {std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max(), std::int64_t{0},
+        std::int64_t{-1}}) {
+    const std::string text = JsonValue(v).Dump(-1);
+    EXPECT_EQ(text, std::to_string(v));
+    const JsonValue back = JsonValue::Parse(text);
+    EXPECT_TRUE(back.IsInt()) << text;
+    EXPECT_EQ(back.AsInt(), v);
+  }
+}
+
+TEST(JsonTest, DoublesKeepTheirFormThroughDump) {
+  EXPECT_EQ(JsonValue(2327.0).Dump(-1), "2327.0");
+  EXPECT_EQ(JsonValue(-0.0).Dump(-1), "-0.0");
+  EXPECT_EQ(JsonValue(1e21).Dump(-1), "1e+21");
+  EXPECT_EQ(JsonValue(36.75).Dump(-1), "36.75");
+  EXPECT_EQ(JsonValue(0.1).Dump(-1), "0.10000000000000001");
+  EXPECT_THROW((void)JsonValue(std::nan("")).Dump(-1), JsonError);
+  EXPECT_THROW((void)JsonValue(HUGE_VAL).Dump(-1), JsonError);
 }
 
 // ---------------------------------------------------------------- csv
