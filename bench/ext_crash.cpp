@@ -165,7 +165,7 @@ int main() {
     for (std::size_t k = 0; k < requests_per_cycle; ++k) {
       JsonObject request;
       request["verb"] = "schedule";
-      request["id"] = "c" + std::to_string(cycle) + "-" + std::to_string(k);
+      request["id"] = StrFormat("c%zu-%zu", cycle, k);
       request["seed"] =
           static_cast<std::int64_t>(cycle * requests_per_cycle + k + 1);
       request["instance"] = InstanceToJson(instance);

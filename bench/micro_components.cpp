@@ -3,13 +3,22 @@
 // queries, instance generation, the PA core and one IS-k window. These
 // back the Table-I runtime decomposition with per-component numbers. The
 // Ingest* cases time reschedd's request ingest stage by stage (run them
-// alone with --benchmark_filter=Ingest).
+// alone with --benchmark_filter=Ingest). The FloorplanCorpus*/
+// FloorplanCatalog* cases time the floorplan layer on the fixed query
+// corpus data/floorplan_corpus.txt (--benchmark_filter=Floorplan); when
+// RESCHED_BENCH_OUT is set they also write their ledger, behaviour
+// counters included, to $RESCHED_BENCH_OUT/micro_floorplan.csv.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "floorplan/floorplan_cache.hpp"
 #include "io/instance_hash.hpp"
 #include "io/instance_io.hpp"
 #include "service/protocol.hpp"
@@ -81,6 +90,135 @@ void BM_FloorplanFeasible(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FloorplanFeasible)->Arg(2)->Arg(5)->Arg(8);
+
+/// One query of data/floorplan_corpus.txt with the verdict it recorded.
+struct CorpusQuery {
+  std::string outcome;
+  std::size_t nodes = 0;
+  std::vector<ResourceVec> regions;
+};
+
+std::vector<CorpusQuery> LoadFloorplanCorpus() {
+  std::ifstream in(std::string(RESCHED_DATA_DIR) + "/floorplan_corpus.txt");
+  std::vector<CorpusQuery> corpus;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    CorpusQuery query;
+    std::string bar;
+    fields >> query.outcome >> query.nodes >> bar;
+    std::int64_t clb = 0;
+    std::int64_t bram = 0;
+    std::int64_t dsp = 0;
+    char comma = 0;
+    while (fields >> clb >> comma >> bram >> comma >> dsp) {
+      query.regions.push_back(ResourceVec({clb, bram, dsp}));
+    }
+    corpus.push_back(std::move(query));
+  }
+  return corpus;
+}
+
+/// The engine's floorplan options with the wall-clock budget off (the
+/// corpus never reached it), so the counters are a function of the code.
+FloorplanOptions CorpusOptions() {
+  FloorplanOptions options;
+  options.time_budget_seconds = 0.0;
+  options.max_nodes = 2'000'000;
+  options.max_placements_per_region = 4096;
+  return options;
+}
+
+/// Every distinct requirement of the corpus, in first-seen order.
+std::vector<ResourceVec> CorpusRequirements(
+    const std::vector<CorpusQuery>& corpus) {
+  std::vector<ResourceVec> reqs;
+  for (const CorpusQuery& query : corpus) {
+    for (const ResourceVec& req : query.regions) {
+      if (std::find(reqs.begin(), reqs.end(), req) == reqs.end()) {
+        reqs.push_back(req);
+      }
+    }
+  }
+  return reqs;
+}
+
+/// The DFS alone: every corpus query solved over prebuilt catalogs, as a
+/// FloorplanCache miss does. One iteration is one pass over the corpus;
+/// items are DFS nodes, so items_per_second is the nodes/s the perf smoke
+/// gates (`floorplan:corpus`).
+void BM_FloorplanCorpusSolve(benchmark::State& state) {
+  const FpgaDevice device = MakeXc7z020();
+  const Fabric fabric(device);
+  const FloorplanOptions options = CorpusOptions();
+  const std::vector<CorpusQuery> corpus = LoadFloorplanCorpus();
+  FloorplanCache cache(device);
+  std::vector<std::shared_ptr<const PlacementSet>> catalog;
+  std::vector<std::vector<const PlacementSet*>> candidates;
+  for (const CorpusQuery& query : corpus) {
+    candidates.emplace_back();
+    for (const ResourceVec& req : query.regions) {
+      catalog.push_back(
+          cache.Placements(req, options.max_placements_per_region));
+      candidates.back().push_back(catalog.back().get());
+    }
+  }
+  std::size_t nodes = 0;
+  std::size_t feasible = 0;
+  std::size_t exhausted = 0;
+  for (auto _ : state) {
+    nodes = feasible = exhausted = 0;
+    for (std::size_t q = 0; q < corpus.size(); ++q) {
+      const FloorplanResult r =
+          SolveFloorplanFeasibility(fabric, candidates[q], options);
+      benchmark::DoNotOptimize(r.rects.data());
+      const char* outcome = r.budget_exhausted ? "exhausted"
+                            : r.feasible       ? "feasible"
+                                               : "infeasible";
+      if (r.nodes_explored != corpus[q].nodes ||
+          corpus[q].outcome != outcome) {
+        state.SkipWithError("corpus query disagrees with its recorded verdict");
+        return;
+      }
+      nodes += r.nodes_explored;
+      feasible += r.feasible ? 1 : 0;
+      exhausted += r.budget_exhausted ? 1 : 0;
+    }
+  }
+  state.counters["queries"] = static_cast<double>(corpus.size());
+  state.counters["nodes"] = static_cast<double>(nodes);
+  state.counters["feasible"] = static_cast<double>(feasible);
+  state.counters["exhausted"] = static_cast<double>(exhausted);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(nodes));
+}
+BENCHMARK(BM_FloorplanCorpusSolve)->Unit(benchmark::kMillisecond);
+
+/// The catalog alone: enumeration plus dominance prune plus candidate
+/// columns for every distinct corpus requirement, as FloorplanCache
+/// builds them on a catalog miss. Items are catalog builds.
+void BM_FloorplanCatalogBuild(benchmark::State& state) {
+  const FpgaDevice device = MakeXc7z020();
+  const Fabric fabric(device);
+  const std::size_t cap = CorpusOptions().max_placements_per_region;
+  const std::vector<ResourceVec> reqs =
+      CorpusRequirements(LoadFloorplanCorpus());
+  std::size_t placements = 0;
+  for (auto _ : state) {
+    placements = 0;
+    for (const ResourceVec& req : reqs) {
+      const PlacementSet set = EnumeratePrunedPlacementSet(fabric, req, cap);
+      benchmark::DoNotOptimize(set.key_columns.data());
+      placements += set.rects.size();
+    }
+  }
+  state.counters["requirements"] = static_cast<double>(reqs.size());
+  state.counters["placements"] = static_cast<double>(placements);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(reqs.size()));
+}
+BENCHMARK(BM_FloorplanCatalogBuild)->Unit(benchmark::kMillisecond);
 
 void BM_PaCore(benchmark::State& state) {
   const Instance inst = MakeBenchInstance(
@@ -211,6 +349,86 @@ void BM_IngestInstanceToJsonDump(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestInstanceToJsonDump)->Arg(40)->Arg(70)->Arg(100);
 
+/// Display reporter (whatever --benchmark_format selects) that also
+/// collects the runs of the cases carrying a behaviour counter (the
+/// Floorplan* ledger) and writes them as micro_floorplan.csv: one row per
+/// case, the median pass time and rate over repetitions and the counters
+/// as exact integers.
+class FloorplanLedger : public benchmark::BenchmarkReporter {
+ public:
+  explicit FloorplanLedger(benchmark::BenchmarkReporter* display)
+      : display_(display) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+
+  void Finalize() override { display_->Finalize(); }
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
+      if (run.counters.count("nodes") == 0 &&
+          run.counters.count("placements") == 0) {
+        continue;
+      }
+      Row& row = rows_[run.run_name.function_name];
+      row.pass_ms.push_back(run.GetAdjustedRealTime());
+      for (const auto& [name, counter] : run.counters) {
+        row.counters[name] = counter.value;
+      }
+      const auto rate = run.counters.find("items_per_second");
+      row.items_per_second.push_back(
+          rate == run.counters.end() ? 0.0 : rate->second.value);
+    }
+    display_->ReportRuns(runs);
+  }
+
+  void Write(const BenchConfig& config) const {
+    if (rows_.empty()) return;
+    const auto count = [](const Row& row, const char* name) {
+      const auto it = row.counters.find(name);
+      return it == row.counters.end()
+                 ? std::string()
+                 : std::to_string(static_cast<std::uint64_t>(it->second));
+    };
+    const auto median = [](std::vector<double> values) {
+      std::sort(values.begin(), values.end());
+      return values[values.size() / 2];
+    };
+    std::vector<std::vector<std::string>> out;
+    for (const auto& [name, row] : rows_) {
+      out.push_back({name.substr(name.rfind('_') + 1), count(row, "queries"),
+                     count(row, "nodes"), count(row, "feasible"),
+                     count(row, "exhausted"), count(row, "requirements"),
+                     count(row, "placements"),
+                     StrFormat("%.2f", median(row.pass_ms)),
+                     StrFormat("%.0f", median(row.items_per_second))});
+    }
+    WriteCsv(config, "micro_floorplan",
+             {"case", "queries", "nodes", "feasible", "exhausted",
+              "requirements", "placements", "pass_ms", "items_per_sec"},
+             out);
+  }
+
+ private:
+  struct Row {
+    std::vector<double> pass_ms;
+    std::map<std::string, double> counters;
+    std::vector<double> items_per_second;
+  };
+  benchmark::BenchmarkReporter* display_;
+  std::map<std::string, Row> rows_;
+};
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  FloorplanLedger ledger(benchmark::CreateDefaultDisplayReporter());
+  benchmark::RunSpecifiedBenchmarks(&ledger);
+  benchmark::Shutdown();
+  if (std::getenv("RESCHED_BENCH_OUT") != nullptr) ledger.Write(LoadConfig());
+  return 0;
+}

@@ -4,9 +4,11 @@
 CI runs the micro benchmarks twice — once with the native backend and once
 with ``RESCHED_SIMD=scalar`` — into two result directories. This script
 pairs the rows of each CSV present in both directories (on the identity
-columns: instance / num_tasks / mode / threads / scan) and demands that
-every behavioural column (``best_makespan_us``, ``violations``) is
-bit-identical. Throughput columns are expected to differ and are ignored.
+columns: instance / num_tasks / mode / threads / scan / case / impl) and
+demands that every behavioural column (``best_makespan_us``,
+``violations``, and the floorplan ledger's ``nodes``, ``feasible`` and
+``exhausted``) is bit-identical. Throughput columns are expected to differ
+and are ignored.
 
 Usage:
     check_simd_equivalence.py <native_dir> <scalar_dir> [--csv NAME ...]
@@ -20,8 +22,10 @@ import csv
 import sys
 from pathlib import Path
 
-KEY_COLUMNS = ("instance", "num_tasks", "mode", "threads", "scan")
-BEHAVIOUR_COLUMNS = ("best_makespan_us", "violations")
+KEY_COLUMNS = ("instance", "num_tasks", "mode", "threads", "scan", "case",
+               "impl")
+BEHAVIOUR_COLUMNS = ("best_makespan_us", "violations", "nodes", "feasible",
+                     "exhausted")
 
 
 def load(path: Path) -> tuple[list[str], list[dict]]:

@@ -96,7 +96,7 @@ class FloorplanCache {
   FloorplanResult Query(const std::vector<ResourceVec>& regions,
                         const FloorplanOptions& options);
 
-  /// Pruned candidate rectangles (with occupancy masks) for one
+  /// Pruned candidate rectangles (with their candidate columns) for one
   /// requirement, memoized. Exposed for tests and for callers that
   /// enumerate without solving.
   std::shared_ptr<const PlacementSet> Placements(const ResourceVec& req,

@@ -4,6 +4,8 @@
 #include <bit>
 #include <numeric>
 
+#include "util/check.hpp"
+#include "util/simd.hpp"
 #include "util/timeline.hpp"
 #include "util/timer.hpp"
 
@@ -13,28 +15,59 @@ namespace {
 
 /// Removes placements that strictly contain another placement of the same
 /// region: the contained one can always replace the container in any
-/// solution, so containers are dominated for a feasibility query.
+/// solution, so containers are dominated for a feasibility query. Kept
+/// placements stay in list order.
+///
+/// Rather than testing all pairs, the list is indexed by (height, col0,
+/// row0) -> narrowest width listed there, and each candidate probes only
+/// the origins and heights that fit inside it. For a fixed (height, col0,
+/// row0) every containment condition is monotone in the width, so the
+/// narrowest entry dominates iff any entry there does.
 void PruneDominated(std::vector<Rect>& placements) {
-  auto contains = [](const Rect& outer, const Rect& inner) {
-    return outer.col0 <= inner.col0 && outer.row0 <= inner.row0 &&
-           outer.col0 + outer.width >= inner.col0 + inner.width &&
-           outer.row0 + outer.height >= inner.row0 + inner.height &&
-           outer.Area() > inner.Area();
+  constexpr std::size_t kNone = SIZE_MAX;
+  std::size_t max_height = 0;
+  std::size_t cols = 0;
+  std::size_t rows = 0;
+  for (const Rect& r : placements) {
+    RESCHED_DCHECK_MSG(r.width > 0 && r.height > 0, "empty placement");
+    max_height = std::max(max_height, r.height);
+    cols = std::max(cols, r.col0 + r.width);
+    rows = std::max(rows, r.row0 + r.height);
+  }
+  const auto slot = [&](std::size_t height, std::size_t col0,
+                        std::size_t row0) {
+    return ((height - 1) * cols + col0) * rows + row0;
   };
+  std::vector<std::size_t> narrowest(max_height * cols * rows, kNone);
+  for (const Rect& r : placements) {
+    std::size_t& w = narrowest[slot(r.height, r.col0, r.row0)];
+    w = std::min(w, r.width);
+  }
   std::vector<Rect> kept;
   kept.reserve(placements.size());
   for (const Rect& cand : placements) {
+    const std::size_t col_end = cand.col0 + cand.width;
+    const std::size_t row_end = cand.row0 + cand.height;
     bool dominated = false;
-    for (const Rect& other : placements) {
-      if (contains(cand, other)) {
-        dominated = true;
-        break;
+    for (std::size_t h = 1; h <= cand.height && !dominated; ++h) {
+      for (std::size_t row0 = cand.row0; row0 + h <= row_end && !dominated;
+           ++row0) {
+        for (std::size_t col0 = cand.col0; col0 < col_end; ++col0) {
+          const std::size_t w = narrowest[slot(h, col0, row0)];
+          if (w != kNone && col0 + w <= col_end && h * w < cand.Area()) {
+            dominated = true;
+            break;
+          }
+        }
       }
     }
     if (!dominated) kept.push_back(cand);
   }
   placements.swap(kept);
 }
+
+/// Budget checks run when the node count reaches a multiple of this.
+constexpr std::size_t kBudgetCheckNodes = 1024;
 
 class Search {
  public:
@@ -46,25 +79,23 @@ class Search {
         options_(options),
         visit_order_(visit_order),
         capacity_(fabric.Capacity()),
-        deadline_(options.time_budget_seconds) {
-    // Minimum rectangle area (in grid cells) each region can occupy — the
-    // basis of the area-capacity prune that proves infeasibility quickly
-    // at high utilization. Catalog entries carry it precomputed; fall back
-    // to a scan for hand-built PlacementSets (tests).
-    min_area_.resize(candidates_.size());
-    for (std::size_t i = 0; i < candidates_.size(); ++i) {
-      std::size_t best = candidates_[i]->min_area;
-      if (best == 0) {
-        best = fabric.Columns() * fabric.Rows();
-        for (const Rect& r : candidates_[i]->rects) {
-          best = std::min(best, r.Area());
-        }
-      }
-      min_area_[i] = best;
-    }
+        deadline_(options.time_budget_seconds),
+        kernels_(simd::Active()) {
     total_cells_ = fabric.Columns() * fabric.Rows();
     mask_words_ = timeline::WordsFor(total_cells_);
     kinds_ = capacity_.size();
+    for (const PlacementSet* set : candidates_) {
+      RESCHED_CHECK_MSG(
+          set != nullptr && !set->rects.empty() &&
+              set->mask_words == mask_words_ &&
+              set->stride >= set->rects.size() &&
+              set->stride % simd::kColumnPad == 0 &&
+              set->key_columns.size() == (1 + kinds_) * set->stride &&
+              set->mask_columns.size() == mask_words_ * set->stride &&
+              set->union_mask.size() == mask_words_,
+          "floorplan candidates must come from BuildPlacementSet on the "
+          "queried fabric");
+    }
   }
 
   /// Runs the DFS; fills `solution` (indexed like candidates_) on success.
@@ -80,16 +111,13 @@ class Search {
                        return candidates_[a]->rects.size() <
                               candidates_[b]->rects.size();
                      });
-    chosen_.assign(candidates_.size(), Rect{});
-    // Occupancy image per depth: row d holds the union of the masks of
-    // the first d placed rectangles, so backtracking needs no undo.
-    used_stack_.assign((candidates_.size() + 1) * mask_words_, 0);
 
     // Suffix sums of minimum areas in search order: after placing depth d
     // regions, the rest need at least suffix_min_area_[d] free cells.
     suffix_min_area_.assign(order_.size() + 1, 0);
     for (std::size_t d = order_.size(); d-- > 0;) {
-      suffix_min_area_[d] = suffix_min_area_[d + 1] + min_area_[order_[d]];
+      suffix_min_area_[d] =
+          suffix_min_area_[d + 1] + candidates_[order_[d]]->min_area;
     }
     if (suffix_min_area_[0] > total_cells_) {
       budget_exhausted = false;  // proven infeasible, not a budget stop
@@ -103,25 +131,38 @@ class Search {
     // consumption is additive per kind — a suffix that exceeds capacity
     // in any kind is a certain "no". Strictly stronger than the aggregate
     // requirement pre-check because min footprints exceed requirements.
-    const bool have_min_res = HaveMinRes();
-    if (have_min_res) {
-      suffix_min_res_.assign((order_.size() + 1) * kinds_, 0);
-      for (std::size_t d = order_.size(); d-- > 0;) {
-        const ResourceVec& mr = candidates_[order_[d]]->min_res;
-        for (std::size_t k = 0; k < kinds_; ++k) {
-          suffix_min_res_[d * kinds_ + k] =
-              suffix_min_res_[(d + 1) * kinds_ + k] + mr[k];
-        }
-      }
+    suffix_min_res_.assign((order_.size() + 1) * kinds_, 0);
+    for (std::size_t d = order_.size(); d-- > 0;) {
+      const ResourceVec& mr = candidates_[order_[d]]->min_res;
       for (std::size_t k = 0; k < kinds_; ++k) {
-        if (suffix_min_res_[k] > capacity_[k]) {
-          budget_exhausted = false;  // proven infeasible at the root
-          nodes = 0;
-          return false;
-        }
+        suffix_min_res_[d * kinds_ + k] =
+            suffix_min_res_[(d + 1) * kinds_ + k] + mr[k];
       }
-      consumed_stack_.assign((order_.size() + 1) * kinds_, 0);
     }
+    for (std::size_t k = 0; k < kinds_; ++k) {
+      if (suffix_min_res_[k] > capacity_[k]) {
+        budget_exhausted = false;  // proven infeasible at the root
+        nodes = 0;
+        return false;
+      }
+    }
+    consumed_stack_.assign((order_.size() + 1) * kinds_, 0);
+
+    chosen_.assign(candidates_.size(), Rect{});
+    // Occupancy image per depth: row d holds the union of the masks of
+    // the first d placed rectangles, so backtracking needs no undo.
+    used_stack_.assign((candidates_.size() + 1) * mask_words_, 0);
+    // Filter output per depth: bit j of depth d's words says whether
+    // candidate j of that level survived the area, capacity and clash
+    // prunes. Kept per depth because the level walks it across recursion.
+    pass_offset_.assign(order_.size() + 1, 0);
+    for (std::size_t d = 0; d < order_.size(); ++d) {
+      pass_offset_[d + 1] =
+          pass_offset_[d] +
+          timeline::WordsFor(candidates_[order_[d]]->rects.size());
+    }
+    pass_stack_.assign(pass_offset_.back(), 0);
+    limits_.assign(1 + kinds_, 0);
 
     const bool ok = Dfs(0, /*used_cells=*/0);
     budget_exhausted = budget_exhausted_;
@@ -131,13 +172,47 @@ class Search {
   }
 
  private:
-  /// Whether every candidate set carries per-rect resource footprints
-  /// (catalog-built sets do; hand-built test sets may not).
-  bool HaveMinRes() const {
-    for (const PlacementSet* set : candidates_) {
-      if (set->rect_res.size() != set->rects.size()) return false;
+  /// Counts `count` more visited candidates as DFS nodes. Every visited
+  /// candidate is one node whether or not a prune rejects it, and the
+  /// budget is checked each time the count reaches a multiple of
+  /// kBudgetCheckNodes, stopping exactly there — so nodes_explored and
+  /// the stop point match a loop that counts candidates one at a time.
+  bool CountNodes(std::size_t count) {
+    const std::size_t target = nodes_ + count;
+    for (std::size_t at = (nodes_ / kBudgetCheckNodes + 1) * kBudgetCheckNodes;
+         at <= target; at += kBudgetCheckNodes) {
+      if ((options_.max_nodes != 0 && at >= options_.max_nodes) ||
+          deadline_.Expired()) {
+        nodes_ = at;
+        budget_exhausted_ = true;
+        return false;
+      }
     }
-    return !candidates_.empty();
+    nodes_ = target;
+    return true;
+  }
+
+  /// First visit position >= `from` whose candidate passed the filter, or
+  /// `n` when none is left.
+  static std::size_t NextPassing(const std::uint64_t* pass,
+                                 const std::vector<std::uint32_t>* perm,
+                                 std::size_t from, std::size_t n) {
+    if (perm != nullptr) {
+      while (from < n &&
+             ((pass[(*perm)[from] / 64] >> ((*perm)[from] % 64)) & 1U) == 0) {
+        ++from;
+      }
+      return from;
+    }
+    if (from >= n) return n;
+    std::size_t w = from / 64;
+    std::uint64_t bits = pass[w] & (~std::uint64_t{0} << (from % 64));
+    const std::size_t words = timeline::WordsFor(n);
+    while (bits == 0) {
+      if (++w == words) return n;
+      bits = pass[w];
+    }
+    return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
   }
 
   bool Dfs(std::size_t depth, std::size_t used_cells) {
@@ -145,51 +220,42 @@ class Search {
     if (budget_exhausted_) return false;
     const std::size_t region = order_[depth];
     const PlacementSet& set = *candidates_[region];
+    const std::size_t n = set.rects.size();
     const std::uint64_t* used = used_stack_.data() + depth * mask_words_;
     std::uint64_t* next = used_stack_.data() + (depth + 1) * mask_words_;
-    const bool res_prune = !suffix_min_res_.empty();
-    const std::int64_t* consumed =
-        res_prune ? consumed_stack_.data() + depth * kinds_ : nullptr;
+    const std::int64_t* consumed = consumed_stack_.data() + depth * kinds_;
+    const std::int64_t* suffix = suffix_min_res_.data() + (depth + 1) * kinds_;
     const std::vector<std::uint32_t>* perm =
         visit_order_ ? &(*visit_order_)[region] : nullptr;
-    for (std::size_t j = 0; j < set.rects.size(); ++j) {
+
+    // One filter pass over the whole candidate column. Area-capacity
+    // prune: the cells a rectangle takes plus the minimum footprint of
+    // every remaining region must fit in the fabric. Per-kind capacity
+    // prune: consumption is additive per kind (no overlap), and every
+    // remaining region needs at least its min_res. Clash test: the
+    // rectangle shares no cell with the placed ones.
+    limits_[0] = static_cast<std::int64_t>(total_cells_) -
+                 static_cast<std::int64_t>(used_cells) -
+                 static_cast<std::int64_t>(suffix_min_area_[depth + 1]);
+    for (std::size_t kk = 0; kk < kinds_; ++kk) {
+      limits_[1 + kk] = capacity_[kk] - consumed[kk] - suffix[kk];
+    }
+    std::uint64_t* pass = pass_stack_.data() + pass_offset_[depth];
+    kernels_.filter_columns(set.key_columns.data(), limits_.data(),
+                            1 + kinds_, set.mask_columns.data(), used,
+                            mask_words_, set.stride, n, pass);
+
+    // Walk the survivors in visit order. The candidates skipped on the way
+    // were visited and pruned: they still count as nodes.
+    std::size_t counted = 0;
+    for (std::size_t j = NextPassing(pass, perm, 0, n); j < n;
+         j = NextPassing(pass, perm, j + 1, n)) {
+      if (!CountNodes(j + 1 - counted)) return false;
+      counted = j + 1;
       const std::size_t k = perm ? (*perm)[j] : j;
-      const Rect& rect = set.rects[k];
-      if (++nodes_ % 1024 == 0) {
-        if ((options_.max_nodes != 0 && nodes_ >= options_.max_nodes) ||
-            deadline_.Expired()) {
-          budget_exhausted_ = true;
-          return false;
-        }
+      for (std::size_t w = 0; w < mask_words_; ++w) {
+        next[w] = used[w] | set.MaskWord(w, k);
       }
-      // Area-capacity prune: the cells this rectangle takes plus the
-      // minimum possible footprint of every remaining region must fit in
-      // the fabric. (Rectangles never overlap, so cell usage is additive.)
-      if (used_cells + rect.Area() + suffix_min_area_[depth + 1] >
-          total_cells_) {
-        continue;
-      }
-      // Per-kind capacity prune: consumption is additive per kind (no
-      // overlap), and every remaining region needs at least its min_res.
-      if (res_prune) {
-        const ResourceVec& rr = set.rect_res[k];
-        const std::int64_t* suffix =
-            suffix_min_res_.data() + (depth + 1) * kinds_;
-        bool over = false;
-        for (std::size_t kk = 0; kk < kinds_; ++kk) {
-          if (consumed[kk] + rr[kk] + suffix[kk] > capacity_[kk]) {
-            over = true;
-            break;
-          }
-        }
-        if (over) continue;
-      }
-      // Exact clash test: grid-aligned rectangles overlap iff they share
-      // a cell, so one word-AND against the accumulated occupancy image
-      // replaces the Rect::Overlaps loop over every placed region.
-      const std::uint64_t* mask = set.masks.data() + k * mask_words_;
-      if (timeline::AnyIntersect(mask, used, mask_words_)) continue;
-      timeline::OrImage(next, used, mask, mask_words_);
       // Union-mask prune: a remaining region whose candidate-cell union
       // retains fewer free cells than its minimum footprint has no live
       // candidate left — this subtree is barren, skip it. (Sound and
@@ -197,27 +263,26 @@ class Search {
       bool barren = false;
       for (std::size_t d2 = depth + 1; d2 < order_.size() && !barren; ++d2) {
         const PlacementSet& rest = *candidates_[order_[d2]];
-        if (rest.union_mask.size() != mask_words_) continue;
         std::size_t free_cells = 0;
         for (std::size_t w = 0; w < mask_words_; ++w) {
           free_cells += static_cast<std::size_t>(
               std::popcount(rest.union_mask[w] & ~next[w]));
         }
-        barren = free_cells < min_area_[order_[d2]];
+        barren = free_cells < rest.min_area;
       }
       if (barren) continue;
-      chosen_[region] = rect;
-      if (res_prune) {
-        const ResourceVec& rr = set.rect_res[k];
-        std::int64_t* next_consumed =
-            consumed_stack_.data() + (depth + 1) * kinds_;
-        for (std::size_t kk = 0; kk < kinds_; ++kk) {
-          next_consumed[kk] = consumed[kk] + rr[kk];
-        }
+      chosen_[region] = set.rects[k];
+      std::int64_t* next_consumed =
+          consumed_stack_.data() + (depth + 1) * kinds_;
+      for (std::size_t kk = 0; kk < kinds_; ++kk) {
+        next_consumed[kk] = consumed[kk] + set.Footprint(kk, k);
       }
-      if (Dfs(depth + 1, used_cells + rect.Area())) return true;
+      if (Dfs(depth + 1, used_cells + static_cast<std::size_t>(set.Area(k)))) {
+        return true;
+      }
       if (budget_exhausted_) return false;
     }
+    CountNodes(n - counted);
     return false;
   }
 
@@ -226,13 +291,16 @@ class Search {
   const std::vector<std::vector<std::uint32_t>>* visit_order_;
   ResourceVec capacity_;
   Deadline deadline_;
+  const simd::KernelTable& kernels_;
   std::vector<std::size_t> order_;
   std::vector<Rect> chosen_;
-  std::vector<std::size_t> min_area_;
   std::vector<std::size_t> suffix_min_area_;
   std::vector<std::int64_t> suffix_min_res_;
   std::vector<std::int64_t> consumed_stack_;
   std::vector<std::uint64_t> used_stack_;
+  std::vector<std::size_t> pass_offset_;
+  std::vector<std::uint64_t> pass_stack_;
+  std::vector<std::int64_t> limits_;
   std::size_t total_cells_ = 0;
   std::size_t mask_words_ = 0;
   std::size_t kinds_ = 0;
@@ -265,26 +333,34 @@ std::vector<Rect> EnumeratePrunedPlacements(const Fabric& fabric,
 PlacementSet BuildPlacementSet(const Fabric& fabric, std::vector<Rect> rects) {
   PlacementSet set;
   const std::size_t cols = fabric.Columns();
+  const std::size_t kinds = fabric.Capacity().size();
+  const std::size_t n = rects.size();
   set.mask_words = timeline::WordsFor(cols * fabric.Rows());
+  set.stride = (n + simd::kColumnPad - 1) / simd::kColumnPad * simd::kColumnPad;
   set.rects = std::move(rects);
-  set.masks.assign(set.rects.size() * set.mask_words, 0);
+  set.key_columns.assign((1 + kinds) * set.stride, 0);
+  set.mask_columns.assign(set.mask_words * set.stride, 0);
   set.union_mask.assign(set.mask_words, 0);
-  set.rect_res.reserve(set.rects.size());
   set.min_area = cols * fabric.Rows();
   set.min_res = fabric.Capacity();
-  for (std::size_t k = 0; k < set.rects.size(); ++k) {
-    const Rect& r = set.rects[k];
-    std::uint64_t* mask = set.masks.data() + k * set.mask_words;
+  std::vector<std::uint64_t> mask(set.mask_words);
+  for (std::size_t j = 0; j < n; ++j) {
+    const Rect& r = set.rects[j];
+    std::fill(mask.begin(), mask.end(), 0);
     for (std::size_t row = r.row0; row < r.row0 + r.height; ++row) {
       const std::size_t base = row * cols + r.col0;
-      timeline::RangeSet(mask, base, base + r.width);
+      timeline::RangeSet(mask.data(), base, base + r.width);
     }
-    timeline::OrInto(set.union_mask.data(), mask, set.mask_words);
+    timeline::OrInto(set.union_mask.data(), mask.data(), set.mask_words);
+    for (std::size_t w = 0; w < set.mask_words; ++w) {
+      set.mask_columns[w * set.stride + j] = mask[w];
+    }
+    set.key_columns[j] = static_cast<std::int64_t>(r.Area());
     const ResourceVec res = fabric.RectResources(r.col0, r.width, r.height);
-    for (std::size_t kind = 0; kind < set.min_res.size(); ++kind) {
+    for (std::size_t kind = 0; kind < kinds; ++kind) {
+      set.key_columns[(1 + kind) * set.stride + j] = res[kind];
       set.min_res[kind] = std::min(set.min_res[kind], res[kind]);
     }
-    set.rect_res.push_back(res);
     set.min_area = std::min(set.min_area, r.Area());
   }
   if (set.rects.empty()) {

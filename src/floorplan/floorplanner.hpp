@@ -111,21 +111,27 @@ std::vector<Rect> EnumeratePrunedPlacements(const Fabric& fabric,
                                             const ResourceVec& req,
                                             std::size_t max_placements);
 
-/// A candidate list plus the word-packed cell-occupancy mask of every
-/// rectangle (bit row * Columns() + col of `masks[k * mask_words ..]` for
-/// rect k). The DFS clash test is then one AND over <= mask_words words
-/// instead of a Rect::Overlaps loop over all placed rectangles; grid
-/// rectangles overlap iff they share a cell, so the test is exact. Masks
-/// are built once per catalog entry and shared by every query.
+/// A region's candidate list in the column-major form the DFS filters in
+/// one kernel call (simd::KernelTable::filter_columns). Candidate j is
+/// rects[j]; its data sit at row j of `stride`-long columns (stride is
+/// rects.size() rounded up to simd::kColumnPad; padding rows are zero):
+///   * key_columns: column 0 is the rectangle's area in grid cells, column
+///     1 + r its footprint of resource kind r — what it actually consumes,
+///     always componentwise >= the requirement it was enumerated for;
+///   * mask_columns: column w is word w of the rectangle's word-packed
+///     cell-occupancy mask (bit row * Columns() + col), mask_words columns.
+/// Grid rectangles overlap iff they share a cell, so the mask test against
+/// the placed cells is an exact clash test. Sets are built once per
+/// catalog entry by BuildPlacementSet and shared by every query.
 struct PlacementSet {
   std::vector<Rect> rects;
-  std::vector<std::uint64_t> masks;
+  std::size_t stride = 0;
   std::size_t mask_words = 0;
-  /// Per-rect resource footprint (`rect_res[k]` for rects[k]) — what the
-  /// rectangle actually consumes of each fabric resource kind, always
-  /// componentwise >= the region requirement it was enumerated for.
-  std::vector<ResourceVec> rect_res;
-  /// Componentwise minimum of rect_res over all candidates: the least any
+  /// 1 + resource kinds columns of `stride` int64 values.
+  std::vector<std::int64_t> key_columns;
+  /// mask_words columns of `stride` words.
+  std::vector<std::uint64_t> mask_columns;
+  /// Componentwise minimum footprint over all candidates: the least any
   /// placement of this region can consume per kind. Basis of the DFS
   /// per-kind capacity suffix prune.
   ResourceVec min_res;
@@ -135,9 +141,17 @@ struct PlacementSet {
   std::vector<std::uint64_t> union_mask;
   /// Minimum rectangle area over all candidates, in grid cells.
   std::size_t min_area = 0;
+
+  std::int64_t Area(std::size_t j) const { return key_columns[j]; }
+  std::int64_t Footprint(std::size_t kind, std::size_t j) const {
+    return key_columns[(1 + kind) * stride + j];
+  }
+  std::uint64_t MaskWord(std::size_t w, std::size_t j) const {
+    return mask_columns[w * stride + j];
+  }
 };
 
-/// Computes the occupancy masks for `rects` on `fabric`.
+/// Builds the candidate columns of `rects` on `fabric`.
 PlacementSet BuildPlacementSet(const Fabric& fabric, std::vector<Rect> rects);
 
 /// EnumeratePrunedPlacements + BuildPlacementSet in one call.
@@ -148,7 +162,8 @@ PlacementSet EnumeratePrunedPlacementSet(const Fabric& fabric,
 /// Backtracking engine under FindFloorplan and FloorplanCache: solves the
 /// pairwise non-overlap selection over externally owned per-region
 /// candidate lists (one pointer per region, all non-null and non-empty,
-/// with masks built on `fabric`). `result.rects` is indexed like
+/// built by BuildPlacementSet on `fabric` — checked once per call, a
+/// violation throws InternalError). `result.rects` is indexed like
 /// `candidates`. Deterministic: depends only on the candidate lists,
 /// their order, `visit_order` and the budget options — not on wall-clock
 /// time unless the time budget fires.

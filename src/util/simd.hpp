@@ -1,15 +1,17 @@
 // Runtime-dispatched SIMD word kernels under util/timeline.hpp.
 //
-// The timeline kernels are loops over arrays of 64-bit occupancy words.
-// This header provides the bulk-word primitives behind them in three
-// interchangeable backends:
+// The timeline kernels are loops over arrays of 64-bit occupancy words,
+// and the floorplan DFS filters column-major candidate lists. This header
+// provides the bulk primitives behind both in three interchangeable
+// backends:
 //
 //   scalar — portable word-at-a-time loops (the fallback, always built);
 //   avx2   — 256-bit AVX2 blocks (x86-64, compiled with a `target`
 //            attribute so the baseline build stays generic; selected at
 //            runtime only when CPUID reports AVX2);
 //   neon   — 128-bit NEON blocks (aarch64, where NEON is architecturally
-//            guaranteed, so support is a compile-time fact).
+//            guaranteed, so support is a compile-time fact); its
+//            candidate filter is the scalar body.
 //
 // The backend is resolved once, on the first call to Active(): the
 // RESCHED_SIMD environment variable (scalar|avx2|neon) overrides the
@@ -39,6 +41,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define RESCHED_SIMD_HAVE_X86 1
@@ -58,7 +61,12 @@ namespace resched::simd {
 
 enum class Backend : std::uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 
-/// One resolved implementation of the bulk word primitives. All kernels
+/// Row padding of the column-major candidate lists filter_columns reads:
+/// every column's stride is a multiple of this (one AVX2 register of
+/// 64-bit lanes), so a vector body never needs a tail loop.
+inline constexpr std::size_t kColumnPad = 4;
+
+/// One resolved implementation of the bulk primitives. The word kernels
 /// operate on arrays of 64-bit words; `n` counts words. None allocate.
 struct KernelTable {
   Backend backend;
@@ -66,12 +74,6 @@ struct KernelTable {
   /// dst[i] |= src[i] for i in [0, n).
   void (*or_into)(std::uint64_t* dst, const std::uint64_t* src,
                   std::size_t n);
-  /// dst[i] = a[i] | b[i] for i in [0, n).
-  void (*or3)(std::uint64_t* dst, const std::uint64_t* a,
-              const std::uint64_t* b, std::size_t n);
-  /// True when (a[i] & b[i]) != 0 for any i in [0, n).
-  bool (*any_intersect)(const std::uint64_t* a, const std::uint64_t* b,
-                        std::size_t n);
   /// True when any word in [0, n) is nonzero.
   bool (*any_nonzero)(const std::uint64_t* words, std::size_t n);
   /// Smallest w in [wb, we) with words[w] != 0, or we when none.
@@ -79,6 +81,19 @@ struct KernelTable {
                                std::size_t we);
   /// words[i] = value for i in [0, n).
   void (*fill)(std::uint64_t* words, std::uint64_t value, std::size_t n);
+  /// Candidate filter over column-major lists of n candidates: key column
+  /// k is keys[k * stride, + n), mask column w is masks[w * stride, + n),
+  /// and both are readable up to `stride` (a multiple of kColumnPad that
+  /// is >= n). Writes (n + 63) / 64 words of `out`: bit j is set iff
+  /// keys[k * stride + j] <= limits[k] for every k < num_keys and
+  /// masks[w * stride + j] & used[w] == 0 for every w < num_words. Bits
+  /// at and above n are clear.
+  void (*filter_columns)(const std::int64_t* keys,
+                         const std::int64_t* limits, std::size_t num_keys,
+                         const std::uint64_t* masks,
+                         const std::uint64_t* used, std::size_t num_words,
+                         std::size_t stride, std::size_t n,
+                         std::uint64_t* out);
 };
 
 // ---- scalar backend (always available) ------------------------------------
@@ -88,18 +103,6 @@ namespace detail {
 inline void ScalarOrInto(std::uint64_t* dst, const std::uint64_t* src,
                          std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] |= src[i];
-}
-
-inline void ScalarOr3(std::uint64_t* dst, const std::uint64_t* a,
-                      const std::uint64_t* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] | b[i];
-}
-
-inline bool ScalarAnyIntersect(const std::uint64_t* a, const std::uint64_t* b,
-                               std::size_t n) {
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc |= a[i] & b[i];
-  return acc != 0;
 }
 
 inline bool ScalarAnyNonzero(const std::uint64_t* words, std::size_t n) {
@@ -121,10 +124,76 @@ inline void ScalarFill(std::uint64_t* words, std::uint64_t value,
   for (std::size_t i = 0; i < n; ++i) words[i] = value;
 }
 
+/// filter_columns bodies come in fixed-count instantiations for
+/// kFixedKeys key columns (area + the three resource kinds of every
+/// preset fabric) and 1..kFixedMaskWords mask words, where the compiler
+/// unrolls the column loops and keeps the limits in registers; any other
+/// shape runs the same body with runtime counts (template arguments 0).
+inline constexpr std::size_t kFixedKeys = 4;
+inline constexpr std::size_t kFixedMaskWords = 12;
+
+using FilterColumnsFn = void (*)(const std::int64_t*, const std::int64_t*,
+                                 std::size_t, const std::uint64_t*,
+                                 const std::uint64_t*, std::size_t,
+                                 std::size_t, std::size_t, std::uint64_t*);
+
+/// Fixed-count instantiation for `num_words` mask words if there is one.
+template <template <std::size_t, std::size_t> class Body, std::size_t... W>
+constexpr FilterColumnsFn FixedFilter(std::size_t num_keys,
+                                      std::size_t num_words,
+                                      std::index_sequence<W...>) {
+  FilterColumnsFn fn = &Body<0, 0>::Run;
+  if (num_keys == kFixedKeys) {
+    ((num_words == W + 1 ? (fn = &Body<kFixedKeys, W + 1>::Run) : fn), ...);
+  }
+  return fn;
+}
+
+/// Branchless: every candidate costs the same key compares and mask ANDs
+/// and sets its bit from the OR of the failures, so mixed pass/fail
+/// columns cost no mispredictions.
+template <std::size_t K, std::size_t W>
+struct ScalarFilterBody {
+  static void Run(const std::int64_t* keys, const std::int64_t* limits,
+                  std::size_t num_keys, const std::uint64_t* masks,
+                  const std::uint64_t* used, std::size_t num_words,
+                  std::size_t stride, std::size_t n, std::uint64_t* out) {
+    const std::size_t nk = K != 0 ? K : num_keys;
+    const std::size_t nw = W != 0 ? W : num_words;
+    for (std::size_t base = 0; base < n; base += 64) {
+      const std::size_t len = n - base < 64 ? n - base : 64;
+      std::uint64_t word = 0;
+      for (std::size_t j = base; j < base + len; ++j) {
+        std::uint64_t reject = 0;
+        for (std::size_t k = 0; k < nk; ++k) {
+          reject |=
+              static_cast<std::uint64_t>(keys[k * stride + j] > limits[k]);
+        }
+        for (std::size_t w = 0; w < nw; ++w) {
+          reject |= masks[w * stride + j] & used[w];
+        }
+        word |= static_cast<std::uint64_t>(reject == 0) << (j - base);
+      }
+      out[base / 64] = word;
+    }
+  }
+};
+
+inline void ScalarFilterColumns(const std::int64_t* keys,
+                                const std::int64_t* limits,
+                                std::size_t num_keys,
+                                const std::uint64_t* masks,
+                                const std::uint64_t* used,
+                                std::size_t num_words, std::size_t stride,
+                                std::size_t n, std::uint64_t* out) {
+  FixedFilter<ScalarFilterBody>(
+      num_keys, num_words, std::make_index_sequence<kFixedMaskWords>{})(
+      keys, limits, num_keys, masks, used, num_words, stride, n, out);
+}
+
 inline constexpr KernelTable kScalarTable = {
-    Backend::kScalar, "scalar",        &ScalarOrInto,
-    &ScalarOr3,       &ScalarAnyIntersect, &ScalarAnyNonzero,
-    &ScalarFirstNonzero, &ScalarFill,
+    Backend::kScalar,    "scalar",    &ScalarOrInto,        &ScalarAnyNonzero,
+    &ScalarFirstNonzero, &ScalarFill, &ScalarFilterColumns,
 };
 
 // ---- AVX2 backend (x86, runtime-gated) ------------------------------------
@@ -143,37 +212,6 @@ __attribute__((target("avx2"))) inline void Avx2OrInto(
                         _mm256_or_si256(d, s));
   }
   for (; i < n; ++i) dst[i] |= src[i];
-}
-
-__attribute__((target("avx2"))) inline void Avx2Or3(std::uint64_t* dst,
-                                                    const std::uint64_t* a,
-                                                    const std::uint64_t* b,
-                                                    std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_or_si256(va, vb));
-  }
-  for (; i < n; ++i) dst[i] = a[i] | b[i];
-}
-
-__attribute__((target("avx2"))) inline bool Avx2AnyIntersect(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    if (!_mm256_testz_si256(va, vb)) return true;
-  }
-  std::uint64_t acc = 0;
-  for (; i < n; ++i) acc |= a[i] & b[i];
-  return acc != 0;
 }
 
 __attribute__((target("avx2"))) inline bool Avx2AnyNonzero(
@@ -214,10 +252,62 @@ __attribute__((target("avx2"))) inline void Avx2Fill(std::uint64_t* words,
   for (; i < n; ++i) words[i] = value;
 }
 
+/// Four candidates per step: a signed compare per key column and an AND
+/// per mask column OR-ed into one accumulator, whose zero lanes are the
+/// survivors (one movemask). A partial last step reads the padding lanes
+/// up to the next kColumnPad boundary; their bits are cleared.
+template <std::size_t K, std::size_t W>
+struct Avx2FilterBody {
+  __attribute__((target("avx2"))) static void Run(
+      const std::int64_t* keys, const std::int64_t* limits,
+      std::size_t num_keys, const std::uint64_t* masks,
+      const std::uint64_t* used, std::size_t num_words, std::size_t stride,
+      std::size_t n, std::uint64_t* out) {
+    const std::size_t nk = K != 0 ? K : num_keys;
+    const std::size_t nw = W != 0 ? W : num_words;
+    const __m256i zero = _mm256_setzero_si256();
+    for (std::size_t base = 0; base < n; base += 64) {
+      const std::size_t len = n - base < 64 ? n - base : 64;
+      std::uint64_t word = 0;
+      for (std::size_t j = 0; j < len; j += 4) {
+        __m256i acc = zero;
+        for (std::size_t k = 0; k < nk; ++k) {
+          const __m256i v = _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(keys + k * stride + base + j));
+          const __m256i limit =
+              _mm256_set1_epi64x(static_cast<long long>(limits[k]));
+          acc = _mm256_or_si256(acc, _mm256_cmpgt_epi64(v, limit));
+        }
+        for (std::size_t w = 0; w < nw; ++w) {
+          const __m256i v = _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(masks + w * stride + base + j));
+          const __m256i occupied =
+              _mm256_set1_epi64x(static_cast<long long>(used[w]));
+          acc = _mm256_or_si256(acc, _mm256_and_si256(v, occupied));
+        }
+        const auto lanes = static_cast<std::uint64_t>(_mm256_movemask_pd(
+            _mm256_castsi256_pd(_mm256_cmpeq_epi64(acc, zero))));
+        word |= lanes << j;
+      }
+      if (len < 64) word &= (std::uint64_t{1} << len) - 1;
+      out[base / 64] = word;
+    }
+  }
+};
+
+__attribute__((target("avx2"))) inline void Avx2FilterColumns(
+    const std::int64_t* keys, const std::int64_t* limits,
+    std::size_t num_keys, const std::uint64_t* masks,
+    const std::uint64_t* used, std::size_t num_words, std::size_t stride,
+    std::size_t n, std::uint64_t* out) {
+  FixedFilter<Avx2FilterBody>(
+      num_keys, num_words, std::make_index_sequence<kFixedMaskWords>{})(
+      keys, limits, num_keys, masks, used, num_words, stride, n, out);
+}
+
 inline constexpr KernelTable kAvx2Table = {
-    Backend::kAvx2, "avx2",          &Avx2OrInto,
-    &Avx2Or3,       &Avx2AnyIntersect, &Avx2AnyNonzero,
-    &Avx2FirstNonzero, &Avx2Fill,
+    Backend::kAvx2,    "avx2",    &Avx2OrInto,        &Avx2AnyNonzero,
+    &Avx2FirstNonzero, &Avx2Fill, &Avx2FilterColumns,
 };
 
 #endif  // RESCHED_SIMD_HAVE_X86
@@ -233,27 +323,6 @@ inline void NeonOrInto(std::uint64_t* dst, const std::uint64_t* src,
     vst1q_u64(dst + i, vorrq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
   }
   for (; i < n; ++i) dst[i] |= src[i];
-}
-
-inline void NeonOr3(std::uint64_t* dst, const std::uint64_t* a,
-                    const std::uint64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(dst + i, vorrq_u64(vld1q_u64(a + i), vld1q_u64(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] | b[i];
-}
-
-inline bool NeonAnyIntersect(const std::uint64_t* a, const std::uint64_t* b,
-                             std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t v = vandq_u64(vld1q_u64(a + i), vld1q_u64(b + i));
-    if ((vgetq_lane_u64(v, 0) | vgetq_lane_u64(v, 1)) != 0) return true;
-  }
-  std::uint64_t acc = 0;
-  for (; i < n; ++i) acc |= a[i] & b[i];
-  return acc != 0;
 }
 
 inline bool NeonAnyNonzero(const std::uint64_t* words, std::size_t n) {
@@ -289,9 +358,8 @@ inline void NeonFill(std::uint64_t* words, std::uint64_t value,
 }
 
 inline constexpr KernelTable kNeonTable = {
-    Backend::kNeon, "neon",          &NeonOrInto,
-    &NeonOr3,       &NeonAnyIntersect, &NeonAnyNonzero,
-    &NeonFirstNonzero, &NeonFill,
+    Backend::kNeon,    "neon",    &NeonOrInto,          &NeonAnyNonzero,
+    &NeonFirstNonzero, &NeonFill, &ScalarFilterColumns,
 };
 
 #endif  // RESCHED_SIMD_HAVE_NEON

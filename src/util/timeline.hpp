@@ -4,7 +4,7 @@
 // of half-open index ranges over a bounded axis (time buckets, fabric
 // cells), asked either "is any index in [begin, end) occupied?" or "occupy
 // [begin, end)". These kernels pack the axis into 64-bit words so one AND
-// or OR touches 64 indices; the floorplan DFS clash test, the PA region
+// or OR touches 64 indices; the floorplan candidate masks, the PA region
 // availability prefilter and the validator overlap scan all share them.
 //
 // Layout: bit i of the axis lives in words[i / 64], bit position i % 64.
@@ -18,8 +18,8 @@
 // Bulk word spans are routed through util/simd.hpp (runtime AVX2/NEON
 // dispatch, RESCHED_SIMD override). Spans shorter than kDispatchMinWords
 // keep the inline word loop: an indirect call costs more than it saves on
-// the 3-word fabric masks of the floorplan DFS. Every backend is
-// bit-identical (DESIGN.md §13), so the split never changes a result.
+// a few words. Every backend is bit-identical (DESIGN.md §13), so the
+// split never changes a result.
 #pragma once
 
 #include <algorithm>
@@ -268,17 +268,6 @@ inline std::size_t FirstFitGap(const std::uint64_t* words,
                      std::max(from, cursor->head_full_bits), len);
 }
 
-/// True when the two word arrays share any set bit.
-inline bool AnyIntersect(const std::uint64_t* a, const std::uint64_t* b,
-                         std::size_t words) {
-  if (words >= kDispatchMinWords) {
-    return simd::Active().any_intersect(a, b, words);
-  }
-  std::uint64_t acc = 0;
-  for (std::size_t w = 0; w < words; ++w) acc |= a[w] & b[w];
-  return acc != 0;
-}
-
 /// dst |= src, word-wise.
 inline void OrInto(std::uint64_t* dst, const std::uint64_t* src,
                    std::size_t words) {
@@ -287,16 +276,6 @@ inline void OrInto(std::uint64_t* dst, const std::uint64_t* src,
     return;
   }
   for (std::size_t w = 0; w < words; ++w) dst[w] |= src[w];
-}
-
-/// dst = a | b, word-wise (the DFS "occupancy at depth+1" update).
-inline void OrImage(std::uint64_t* dst, const std::uint64_t* a,
-                    const std::uint64_t* b, std::size_t words) {
-  if (words >= kDispatchMinWords) {
-    simd::Active().or3(dst, a, b, words);
-    return;
-  }
-  for (std::size_t w = 0; w < words; ++w) dst[w] = a[w] | b[w];
 }
 
 /// Popcount of the set bits in [begin, end).
@@ -394,14 +373,6 @@ inline std::size_t FirstFitGap(const std::uint64_t* words,
     if (!RangeAny(words, i, i + len)) return i;
   }
   return kNpos;
-}
-
-inline bool AnyIntersect(const std::uint64_t* a, const std::uint64_t* b,
-                         std::size_t words) {
-  for (std::size_t i = 0; i < words * kWordBits; ++i) {
-    if (TestBit(a, i) && TestBit(b, i)) return true;
-  }
-  return false;
 }
 
 inline void OrInto(std::uint64_t* dst, const std::uint64_t* src,

@@ -126,7 +126,7 @@ TEST(ExactTest, ExactUsesModuleReuseWhenProfitable) {
   // in one region with zero reconfigurations.
   TaskGraph g;
   for (std::size_t i = 0; i < 4; ++i) {
-    const TaskId t = g.AddTask("m" + std::to_string(i));
+    const TaskId t = g.AddTask(StrFormat("m%zu", i));
     g.AddImpl(t, SwImpl(50000));
     g.AddImpl(t, HwImpl(1000, 2500, 0, 0, /*module=*/5));
     if (i > 0) g.AddEdge(static_cast<TaskId>(i - 1), t);

@@ -262,10 +262,12 @@ TEST(FloorplanCacheTest, PlacementCatalogIsShared) {
     EXPECT_EQ(first->rects[i].width, direct[i].width);
     EXPECT_EQ(first->rects[i].height, direct[i].height);
   }
-  // Masks must agree with the rectangles they cover.
+  // The candidate columns must agree with the rectangles they describe.
   const PlacementSet rebuilt = BuildPlacementSet(fabric, direct);
   EXPECT_EQ(first->mask_words, rebuilt.mask_words);
-  EXPECT_EQ(first->masks, rebuilt.masks);
+  EXPECT_EQ(first->stride, rebuilt.stride);
+  EXPECT_EQ(first->key_columns, rebuilt.key_columns);
+  EXPECT_EQ(first->mask_columns, rebuilt.mask_columns);
   EXPECT_GE(cache.Stats().catalog_hits, 1u);
 }
 

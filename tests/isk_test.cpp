@@ -162,7 +162,7 @@ TEST(IskTest, UsesSoftwareWhenCheaper) {
 TEST(IskTest, ModuleReuseSkipsReconfiguration) {
   TaskGraph g;
   for (std::size_t i = 0; i < 4; ++i) {
-    const TaskId t = g.AddTask("m" + std::to_string(i));
+    const TaskId t = g.AddTask(StrFormat("m%zu", i));
     g.AddImpl(t, SwImpl(60000));
     g.AddImpl(t, HwImpl(2000, 2800, 0, 0, /*module=*/3));
     if (i > 0) g.AddEdge(static_cast<TaskId>(i - 1), t);
@@ -289,9 +289,9 @@ INSTANTIATE_TEST_SUITE_P(
                       IskParam{3, 20, 5}, IskParam{5, 20, 6},
                       IskParam{5, 40, 7}, IskParam{4, 15, 8}),
     [](const ::testing::TestParamInfo<IskParam>& param_info) {
-      return "k" + std::to_string(param_info.param.k) + "_n" +
-             std::to_string(param_info.param.num_tasks) + "_s" +
-             std::to_string(param_info.param.seed);
+      return StrFormat("k%zu_n%zu_s%llu", param_info.param.k,
+                       param_info.param.num_tasks,
+                       static_cast<unsigned long long>(param_info.param.seed));
     });
 
 }  // namespace

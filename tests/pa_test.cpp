@@ -203,7 +203,7 @@ TEST(PaSchedulerTest, ModuleReuseSkipsReconfigurations) {
   // run them back-to-back with zero reconfigurations.
   TaskGraph g;
   for (std::size_t i = 0; i < 6; ++i) {
-    const TaskId t = g.AddTask("m" + std::to_string(i));
+    const TaskId t = g.AddTask(StrFormat("m%zu", i));
     g.AddImpl(t, SwImpl(50000));
     g.AddImpl(t, HwImpl(2000, 2500, 0, 0, /*module=*/7));
     if (i > 0) g.AddEdge(static_cast<TaskId>(i - 1), t);
@@ -307,8 +307,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{20, 5}, SweepParam{40, 6}, SweepParam{40, 7},
                       SweepParam{70, 8}, SweepParam{100, 9}),
     [](const ::testing::TestParamInfo<SweepParam>& param_info) {
-      return "n" + std::to_string(param_info.param.num_tasks) + "_s" +
-             std::to_string(param_info.param.seed);
+      return StrFormat("n%zu_s%llu", param_info.param.num_tasks,
+                       static_cast<unsigned long long>(param_info.param.seed));
     });
 
 class PaSmallDeviceSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -127,7 +127,7 @@ TEST(PathologicalTest, DeepDependenciesWithSharedModules) {
   // collapse reconfigurations entirely.
   TaskGraph g;
   for (int i = 0; i < 30; ++i) {
-    const TaskId t = g.AddTask("m" + std::to_string(i));
+    const TaskId t = g.AddTask(StrFormat("m%d", i));
     g.AddImpl(t, SwImpl(9000));
     g.AddImpl(t, HwImpl(1000, 1500, 0, 0, /*module=*/1));
     if (i > 0) g.AddEdge(static_cast<TaskId>(i - 1), t);

@@ -8,7 +8,10 @@
 # disagreement (makespans, violation lists), so this gate also re-proves
 # bit-identity on every CI run. Given bench/micro_components, it also
 # gates reschedd request ingest: ParseRequest/s on the shipped
-# data/instances/large_100.json (`ingest:` prefix).
+# data/instances/large_100.json (`ingest:` prefix), and the floorplan DFS:
+# nodes/s over the query corpus data/floorplan_corpus.txt (`floorplan:`
+# prefix; that case fails when a query's nodes or verdict drift from the
+# recorded ones).
 #
 # Usage: perf_smoke.sh <micro_restart-binary> <baseline-file> [config] \
 #                      [micro_validate-binary] [micro_components-binary]
@@ -53,10 +56,11 @@ fi
 if [[ -n "$COMPONENTS_BIN" ]]; then
   [[ -x "$COMPONENTS_BIN" ]] || {
     echo "perf_smoke: missing binary $COMPONENTS_BIN" >&2; exit 1; }
-  "$COMPONENTS_BIN" --benchmark_filter='^BM_IngestParseRequestLarge100$' \
-      --benchmark_format=json > "$OUT/ingest.json" || {
-    echo "perf_smoke: micro_components ingest case failed:" >&2
-    cat "$OUT/ingest.json" >&2
+  "$COMPONENTS_BIN" \
+      --benchmark_filter='^(BM_IngestParseRequestLarge100|BM_FloorplanCorpusSolve)$' \
+      --benchmark_format=json > "$OUT/components.json" || {
+    echo "perf_smoke: micro_components ingest/floorplan cases failed:" >&2
+    cat "$OUT/components.json" >&2
     exit 1
   }
 fi
@@ -69,7 +73,7 @@ import sys
 
 out_dir, baseline_path = sys.argv[1], sys.argv[2]
 
-restart_floors, validate_floors, ingest_floors = {}, {}, {}
+restart_floors, validate_floors, ingest_floors, floorplan_floors = {}, {}, {}, {}
 with open(baseline_path) as fh:
     for line in fh:
         line = line.split("#", 1)[0].strip()
@@ -80,6 +84,8 @@ with open(baseline_path) as fh:
             validate_floors[instance.removeprefix("validate:")] = float(rate)
         elif instance.startswith("ingest:"):
             ingest_floors[instance.removeprefix("ingest:")] = float(rate)
+        elif instance.startswith("floorplan:"):
+            floorplan_floors[instance.removeprefix("floorplan:")] = float(rate)
         else:
             restart_floors[instance] = float(rate)
 
@@ -93,12 +99,13 @@ def read_csv(csv_path, row_filter, rate_column):
     return measured
 
 
-def read_ingest(json_path):
-    """ParseRequest/s per shipped instance from google-benchmark JSON."""
+def read_components(json_path, case, key):
+    """items/s of one micro_components case from google-benchmark JSON; a
+    case that reported an error has no rate."""
     with open(json_path) as fh:
         runs = json.load(fh)["benchmarks"]
-    return {"large_100": run["items_per_second"] for run in runs
-            if run["name"] == "BM_IngestParseRequestLarge100"}
+    return {key: run["items_per_second"] for run in runs
+            if run["name"] == case and not run.get("error_occurred")}
 
 
 def check(path, floors, read, unit):
@@ -112,7 +119,7 @@ def check(path, floors, read, unit):
     for instance, floor in sorted(floors.items()):
         rate = measured.get(instance)
         if rate is None:
-            print(f"perf_smoke: FAIL {instance}: no measurement in {csv_path}")
+            print(f"perf_smoke: FAIL {instance}: no measurement in {path}")
             status = 1
             continue
         threshold = 0.7 * floor  # 30% regression allowance below the floor
@@ -136,9 +143,16 @@ if os.path.exists(os.path.join(out_dir, "validate_log.txt")):
         lambda path: read_csv(path, lambda row: row["scan"] == "bitset",
                               "validations_per_sec"),
         "validations/s")
-if os.path.exists(os.path.join(out_dir, "ingest.json")):
-    status |= check(os.path.join(out_dir, "ingest.json"), ingest_floors,
-                    read_ingest, "requests/s")
+components = os.path.join(out_dir, "components.json")
+if os.path.exists(components):
+    status |= check(components, ingest_floors,
+                    lambda path: read_components(
+                        path, "BM_IngestParseRequestLarge100", "large_100"),
+                    "requests/s")
+    status |= check(components, floorplan_floors,
+                    lambda path: read_components(
+                        path, "BM_FloorplanCorpusSolve", "corpus"),
+                    "nodes/s")
 sys.exit(status)
 EOF
 

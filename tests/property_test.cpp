@@ -34,7 +34,7 @@ TEST_P(TimingPropertySweep, WindowInvariantsHold) {
   const auto n = static_cast<std::size_t>(rng.UniformInt(2, 30));
   TaskGraph g;
   for (std::size_t i = 0; i < n; ++i) {
-    const TaskId t = g.AddTask("t" + std::to_string(i));
+    const TaskId t = g.AddTask(StrFormat("t%zu", i));
     g.AddImpl(t, testing::SwImpl(rng.UniformInt(1, 500)));
   }
   for (std::size_t b = 1; b < n; ++b) {
@@ -167,7 +167,7 @@ JsonValue RandomJson(Rng& rng, int depth) {
       JsonObject obj;
       const auto len = static_cast<std::size_t>(rng.UniformInt(0, 4));
       for (std::size_t i = 0; i < len; ++i) {
-        obj.emplace("k" + std::to_string(i), RandomJson(rng, depth - 1));
+        obj.emplace(StrFormat("k%zu", i), RandomJson(rng, depth - 1));
       }
       return JsonValue(std::move(obj));
     }

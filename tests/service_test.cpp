@@ -492,7 +492,7 @@ TEST(RescheddServerTest, GracefulShutdownDrainsAcceptedWork) {
   const int kJobs = 5;
   for (int i = 0; i < kJobs; ++i) {
     JsonObject extra;
-    extra["id"] = "j" + std::to_string(i);
+    extra["id"] = StrFormat("j%d", i);
     extra["seed"] = i + 1;
     server.Send(MakeRequest("schedule", instance, std::move(extra)));
   }
@@ -1277,11 +1277,11 @@ TEST(SingleflightTest, CopiesOfOneKeyShareOneSolve) {
   const int kCopies = 8;
   for (int i = 0; i < kCopies; ++i) {
     server.Send(MakeRequest("schedule", ServiceInstance(12),
-                            Fields("k" + std::to_string(i), extra)));
+                            Fields(StrFormat("k%d", i), extra)));
   }
   std::string first;
   for (int i = 0; i < kCopies; ++i) {
-    const std::string line = book.Await("k" + std::to_string(i));
+    const std::string line = book.Await(StrFormat("k%d", i));
     ASSERT_TRUE(JsonValue::Parse(line).GetBool("ok", false)) << line;
     if (i == 0) first = StripId(line);
     EXPECT_EQ(StripId(line), first);
@@ -1358,10 +1358,10 @@ TEST(SingleflightTest, UncacheableCopiesNeverJoin) {
     const int kCopies = 4;
     for (int i = 0; i < kCopies; ++i) {
       server.Send(MakeRequest("schedule", ServiceInstance(12),
-                              Fields("u" + std::to_string(i), extra)));
+                              Fields(StrFormat("u%d", i), extra)));
     }
     for (int i = 0; i < kCopies; ++i) {
-      const std::string line = book.Await("u" + std::to_string(i));
+      const std::string line = book.Await(StrFormat("u%d", i));
       EXPECT_TRUE(JsonValue::Parse(line).GetBool("ok", false)) << line;
     }
     const JsonValue stats = book.Stats();

@@ -2,9 +2,11 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "arch/zynq.hpp"
 #include "taskgraph/taskgraph.hpp"
+#include "util/simd.hpp"
 #include "util/string_util.hpp"
 
 namespace resched::testing {
@@ -89,5 +91,26 @@ inline TaskGraph MakeIndependent(std::size_t n, TimeT hw_time = 1000,
   }
   return g;
 }
+
+/// Every simd dispatch backend this build + machine can execute.
+inline std::vector<simd::Backend> ReachableBackends() {
+  std::vector<simd::Backend> backends{simd::Backend::kScalar};
+  for (const simd::Backend b : {simd::Backend::kAvx2, simd::Backend::kNeon}) {
+    if (simd::Supported(b)) backends.push_back(b);
+  }
+  return backends;
+}
+
+/// Forces a backend for the test body and restores the previous one.
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(simd::Backend b) : prev_(simd::ActiveBackend()) {
+    simd::SetBackend(b);
+  }
+  ~ScopedBackend() { simd::SetBackend(prev_); }
+
+ private:
+  simd::Backend prev_;
+};
 
 }  // namespace resched::testing

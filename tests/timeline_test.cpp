@@ -8,12 +8,14 @@
 // machine (forced via simd::SetBackend, the same mechanism as the
 // RESCHED_SIMD env override), so the AVX2/NEON variants are held to the
 // same oracle as the portable word loops. GapIndex and the GapCursor
-// resume overloads get their own differential sections.
+// resume overloads get their own differential sections, and so does the
+// floorplan candidate-column filter (simd::KernelTable::filter_columns).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/timeline.hpp"
@@ -23,29 +25,8 @@ namespace {
 
 namespace tl = resched::timeline;
 
-/// Every dispatch backend this build + machine can execute.
-std::vector<simd::Backend> ReachableBackends() {
-  std::vector<simd::Backend> backends{simd::Backend::kScalar};
-  if (simd::Supported(simd::Backend::kAvx2)) {
-    backends.push_back(simd::Backend::kAvx2);
-  }
-  if (simd::Supported(simd::Backend::kNeon)) {
-    backends.push_back(simd::Backend::kNeon);
-  }
-  return backends;
-}
-
-/// Forces a backend for the test body and restores the previous one.
-class ScopedBackend {
- public:
-  explicit ScopedBackend(simd::Backend b) : prev_(simd::ActiveBackend()) {
-    simd::SetBackend(b);
-  }
-  ~ScopedBackend() { simd::SetBackend(prev_); }
-
- private:
-  simd::Backend prev_;
-};
+using testing::ReachableBackends;
+using testing::ScopedBackend;
 
 /// Draws an index biased toward word boundaries: half the time a uniform
 /// index, half the time a multiple of 64 plus a small offset in [-2, 2].
@@ -143,14 +124,12 @@ TEST_P(TimelineDifferentialSweep, KernelsMatchScalarReference) {
       ASSERT_EQ(fast, ref) << "word images diverged after step " << step;
     }
 
-    // AnyIntersect / OrInto against a second randomized set.
+    // OrInto against a second randomized set.
     std::vector<std::uint64_t> other(words, 0);
     for (int i = 0; i < 20; ++i) {
       const auto [begin, end] = RandomRange(rng, num_bits);
       tl::RangeSet(other.data(), begin, end);
     }
-    EXPECT_EQ(tl::AnyIntersect(fast.data(), other.data(), words),
-              tl::scalar::AnyIntersect(ref.data(), other.data(), words));
     std::vector<std::uint64_t> or_fast = fast;
     std::vector<std::uint64_t> or_ref = ref;
     tl::OrInto(or_fast.data(), other.data(), words);
@@ -309,6 +288,57 @@ TEST(TimelineTest, DispatchedInteriorUnalignedEdges) {
         ASSERT_EQ(fast, std::vector<std::uint64_t>(8, 0))
             << "RangeClear [" << begin << ", " << end << ")";
       }
+    }
+  }
+}
+
+// The candidate-column filter under the floorplan DFS: every backend
+// against a naive per-candidate reference, on random column-major inputs
+// with n not a multiple of the lane count, 1-8 resource kinds (2-9 key
+// columns, covering the fixed-count shapes and the runtime-count body)
+// and 1-16 mask words. Bits at and above n must stay clear.
+TEST(TimelineTest, FilterColumnsMatchesReference) {
+  Rng rng(0xF17E);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::size_t n = static_cast<std::size_t>(rng.UniformInt(1, 300));
+    if (n % simd::kColumnPad == 0) ++n;
+    const auto num_keys = static_cast<std::size_t>(rng.UniformInt(2, 9));
+    const auto num_words = static_cast<std::size_t>(rng.UniformInt(1, 16));
+    const std::size_t stride =
+        (n + simd::kColumnPad - 1) / simd::kColumnPad * simd::kColumnPad;
+    std::vector<std::int64_t> keys(num_keys * stride);
+    std::vector<std::int64_t> limits(num_keys);
+    std::vector<std::uint64_t> masks(num_words * stride);
+    std::vector<std::uint64_t> used(num_words);
+    // Padding rows hold junk the kernels must ignore.
+    for (std::int64_t& key : keys) key = rng.UniformInt(-50, 1000);
+    for (std::int64_t& limit : limits) limit = rng.UniformInt(200, 1000);
+    for (std::uint64_t& word : masks) {
+      word = rng.Next() & rng.Next() & rng.Next();
+    }
+    for (std::uint64_t& word : used) {
+      word = rng.UniformInt(0, 1) == 0 ? 0 : rng.Next() & rng.Next();
+    }
+    std::vector<std::uint64_t> expect(tl::WordsFor(n), 0);
+    for (std::size_t j = 0; j < n; ++j) {
+      bool pass = true;
+      for (std::size_t k = 0; k < num_keys; ++k) {
+        pass = pass && keys[k * stride + j] <= limits[k];
+      }
+      for (std::size_t w = 0; w < num_words; ++w) {
+        pass = pass && (masks[w * stride + j] & used[w]) == 0;
+      }
+      if (pass) expect[j / 64] |= std::uint64_t{1} << (j % 64);
+    }
+    for (const simd::Backend backend : ReachableBackends()) {
+      SCOPED_TRACE(simd::BackendName(backend));
+      ScopedBackend guard(backend);
+      std::vector<std::uint64_t> got(expect.size(), ~std::uint64_t{0});
+      simd::Active().filter_columns(keys.data(), limits.data(), num_keys,
+                                    masks.data(), used.data(), num_words,
+                                    stride, n, got.data());
+      ASSERT_EQ(got, expect) << "n=" << n << " keys=" << num_keys
+                             << " words=" << num_words;
     }
   }
 }
