@@ -5,14 +5,10 @@
 //       (the paper's choice) vs fastest-first (the IS-1-like bias) vs
 //       graph order vs the best of N random orders;
 //   (b) software task balancing (§V-D) on vs off;
-//   (c) the module-reuse extension (paper future work) on vs off;
-//   (d) learned value ordering in the floorplan DFS (--fp-order learned)
-//       vs plain enumeration order, with cache-level DFS node counts.
-#include <cstdint>
+//   (c) the module-reuse extension (paper future work) on vs off.
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "floorplan/floorplan_cache.hpp"
 
 using namespace resched;
 using namespace resched::bench;
@@ -33,34 +29,6 @@ double AvgMakespanMs(const BenchConfig& config, std::size_t n,
     stat.Add(static_cast<double>(s.makespan) / 1e3);
   }
   return stat.Mean();
-}
-
-struct FpOrderLeg {
-  double makespan_ms = 0.0;
-  std::uint64_t solve_nodes = 0;
-};
-
-// Same suite driven through a FloorplanCache so the ordering model can
-// accumulate wins across instances, as it does inside PA-R restarts.
-FpOrderLeg AvgMakespanFpOrder(const BenchConfig& config, std::size_t n,
-                              FpValueOrder order) {
-  PaOptions options;
-  options.floorplan.value_order = order;
-  RunningStat stat;
-  std::uint64_t nodes = 0;
-  for (const Instance& instance : Group(config, n)) {
-    FloorplanCache cache(instance.platform.Device());
-    const Schedule s = SchedulePa(instance, options, &cache);
-    const ValidationResult r = ValidateSchedule(instance, s);
-    if (!r.ok()) {
-      std::cerr << "FATAL: invalid schedule in fp-order ablation: "
-                << r.Summary() << "\n";
-      std::abort();
-    }
-    stat.Add(static_cast<double>(s.makespan) / 1e3);
-    nodes += cache.Stats().solve_nodes;
-  }
-  return {stat.Mean(), nodes};
 }
 
 }  // namespace
@@ -94,38 +62,22 @@ int main() {
     const double v_graph = AvgMakespanMs(config, n, graph_ord);
     const double v_nobal = AvgMakespanMs(config, n, no_balance);
     const double v_reuse = AvgMakespanMs(config, n, reuse);
-    const FpOrderLeg fp_enum =
-        AvgMakespanFpOrder(config, n, FpValueOrder::kEnumeration);
-    const FpOrderLeg fp_learned =
-        AvgMakespanFpOrder(config, n, FpValueOrder::kLearned);
 
     PrintRow({std::to_string(n), StrFormat("%.2f", v_eff),
               StrFormat("%.2f", v_fast), StrFormat("%.2f", v_graph),
               StrFormat("%.2f", v_nobal), StrFormat("%.2f", v_reuse)});
-    std::cout << "   fp-order: enum " << StrFormat("%.2f", fp_enum.makespan_ms)
-              << " ms / " << fp_enum.solve_nodes << " DFS nodes, learned "
-              << StrFormat("%.2f", fp_learned.makespan_ms) << " ms / "
-              << fp_learned.solve_nodes << " DFS nodes\n";
     csv_rows.push_back({std::to_string(n), StrFormat("%.3f", v_eff),
                         StrFormat("%.3f", v_fast),
                         StrFormat("%.3f", v_graph),
                         StrFormat("%.3f", v_nobal),
-                        StrFormat("%.3f", v_reuse),
-                        StrFormat("%.3f", fp_enum.makespan_ms),
-                        StrFormat("%.3f", fp_learned.makespan_ms),
-                        std::to_string(fp_enum.solve_nodes),
-                        std::to_string(fp_learned.solve_nodes)});
+                        StrFormat("%.3f", v_reuse)});
   }
   WriteCsv(config, "ablation_ordering",
            {"num_tasks", "efficiency_ms", "fastest_first_ms",
-            "graph_order_ms", "no_balancing_ms", "module_reuse_ms",
-            "fp_order_enum_ms", "fp_order_learned_ms", "fp_order_enum_nodes",
-            "fp_order_learned_nodes"},
+            "graph_order_ms", "no_balancing_ms", "module_reuse_ms"},
            csv_rows);
   std::cout << "\nShape check: efficiency ordering should dominate "
                "fastest-first (the Figure-1 argument); module reuse should "
-               "never hurt. Learned floorplan value ordering may only "
-               "reorder DFS visits — makespans must match enumeration "
-               "order; the node counts show what the reordering buys.\n";
+               "never hurt.\n";
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "floorplan/floorplan_cache.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include <utility>
 
 #include "util/timer.hpp"
 
@@ -27,10 +26,6 @@ std::uint64_t HashResourceVec(std::uint64_t h, const ResourceVec& r) {
 
 }  // namespace
 
-std::uint64_t FloorplanOrderingModel::ReqHash(const ResourceVec& req) {
-  return HashResourceVec(0xCBF29CE484222325ULL, req);
-}
-
 std::uint64_t FloorplanCache::CatalogKeyHash::operator()(
     const CatalogKey& k) const {
   std::uint64_t h = 0xCBF29CE484222325ULL;
@@ -50,14 +45,12 @@ std::uint64_t FloorplanCache::VerdictKeyHash::operator()(
   h = HashLane(h, k.canonical.size());
   for (const ResourceVec& r : k.canonical) h = HashResourceVec(h, r);
   h = HashLane(h, k.max_placements);
-  h = HashLane(h, k.value_order);
   return h;
 }
 
 bool FloorplanCache::VerdictKeyEq::operator()(const VerdictKey& a,
                                               const VerdictKey& b) const {
-  return a.max_placements == b.max_placements &&
-         a.value_order == b.value_order && a.canonical == b.canonical;
+  return a.max_placements == b.max_placements && a.canonical == b.canonical;
 }
 
 FloorplanCache::FloorplanCache(const FpgaDevice& device,
@@ -110,7 +103,6 @@ FloorplanResult FloorplanCache::Query(const std::vector<ResourceVec>& regions,
   const std::vector<std::size_t> order = CanonicalRegionOrder(regions);
   VerdictKey key;
   key.max_placements = options.max_placements_per_region;
-  key.value_order = static_cast<std::uint8_t>(options.value_order);
   key.canonical.reserve(regions.size());
   for (const std::size_t i : order) key.canonical.push_back(regions[i]);
 
@@ -154,51 +146,13 @@ FloorplanResult FloorplanCache::Query(const std::vector<ResourceVec>& regions,
   Verdict verdict;
   verdict.max_nodes = options.max_nodes;
   if (!some_region_unplaceable) {
-    // Learned value ordering: visit each region's candidates by the win
-    // history of its (requirement, band) buckets, most-successful band
-    // first, ties broken by enumeration order (stable sort over iota).
-    std::vector<std::vector<std::uint32_t>> visit;
-    const bool learned = options.value_order == FpValueOrder::kLearned;
-    if (learned) {
-      const std::size_t columns = fabric_.Columns();
-      visit.resize(candidates.size());
-      std::vector<std::uint64_t> wins;
-      for (std::size_t k = 0; k < candidates.size(); ++k) {
-        const PlacementSet& set = *candidates[k];
-        const std::uint64_t req_hash =
-            FloorplanOrderingModel::ReqHash(key.canonical[k]);
-        wins.resize(set.rects.size());
-        for (std::size_t j = 0; j < set.rects.size(); ++j) {
-          wins[j] = ordering_.Wins(
-              req_hash,
-              FloorplanOrderingModel::BandOf(set.rects[j].col0, columns));
-        }
-        visit[k].resize(set.rects.size());
-        std::iota(visit[k].begin(), visit[k].end(), std::uint32_t{0});
-        std::stable_sort(visit[k].begin(), visit[k].end(),
-                         [&](std::uint32_t a, std::uint32_t b) {
-                           return wins[a] > wins[b];
-                         });
-      }
-    }
-    FloorplanResult solved = SolveFloorplanFeasibility(
-        fabric_, candidates, options, learned ? &visit : nullptr);
+    FloorplanResult solved =
+        SolveFloorplanFeasibility(fabric_, candidates, options);
     solve_nodes_.fetch_add(solved.nodes_explored, std::memory_order_relaxed);
     verdict.feasible = solved.feasible;
     verdict.budget_exhausted = solved.budget_exhausted;
     verdict.nodes = solved.nodes_explored;
-    if (solved.feasible) {
-      // Feed the ordering statistics: one win per placed region in the
-      // band its rectangle landed in (recorded under every FpValueOrder —
-      // see OrderingModel()).
-      const std::size_t columns = fabric_.Columns();
-      for (std::size_t k = 0; k < order.size(); ++k) {
-        ordering_.RecordWin(
-            FloorplanOrderingModel::ReqHash(key.canonical[k]),
-            FloorplanOrderingModel::BandOf(solved.rects[k].col0, columns));
-      }
-      verdict.rects = std::move(solved.rects);
-    }
+    if (solved.feasible) verdict.rects = std::move(solved.rects);
   }
   // else: proven infeasible with zero search (defaults already say so).
 

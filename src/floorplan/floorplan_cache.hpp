@@ -28,7 +28,6 @@
 // be shared by every PA-R worker.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -38,53 +37,6 @@
 #include "util/memo_map.hpp"
 
 namespace resched {
-
-/// Success statistics behind FpValueOrder::kLearned: a lossy table of
-/// atomic win counters keyed by (requirement hash, fabric column band).
-/// Every feasible cache-miss solve records one win per placed region in
-/// the band its rectangle landed in; the learned visit order then tries a
-/// region's candidates in bands that historically hosted it, first.
-///
-/// Wins-count ordering is equivalent to success-*rate* ordering here: all
-/// bands of one requirement share the same denominator (each feasible
-/// solve records exactly one win for that requirement), so dividing by it
-/// never changes the ranking. Slots collide (hash % kSlots, lossy merge);
-/// a collision only perturbs the heuristic ordering, never correctness —
-/// the DFS stays complete under any candidate permutation.
-class FloorplanOrderingModel {
- public:
-  /// Fabric columns are folded into this many bands: coarse enough that
-  /// statistics accumulate quickly, fine enough to separate "left edge"
-  /// from "middle" placements on the ~40-column fabrics we model.
-  static constexpr std::size_t kBands = 8;
-  static constexpr std::size_t kSlots = 512;
-
-  /// Stable hash of a requirement, computed once per region and combined
-  /// with each candidate's band via Slot().
-  static std::uint64_t ReqHash(const ResourceVec& req);
-
-  /// Band of a rectangle anchored at `col0` on a `columns`-wide fabric.
-  static std::size_t BandOf(std::size_t col0, std::size_t columns) {
-    return columns == 0 ? 0 : col0 * kBands / columns;
-  }
-
-  void RecordWin(std::uint64_t req_hash, std::size_t band) {
-    wins_[Slot(req_hash, band)].fetch_add(1, std::memory_order_relaxed);
-  }
-
-  std::uint64_t Wins(std::uint64_t req_hash, std::size_t band) const {
-    return wins_[Slot(req_hash, band)].load(std::memory_order_relaxed);
-  }
-
- private:
-  static std::size_t Slot(std::uint64_t req_hash, std::size_t band) {
-    return static_cast<std::size_t>(
-               (req_hash * 0x9E3779B97F4A7C15ULL) ^ band) %
-           kSlots;
-  }
-
-  std::array<std::atomic<std::uint64_t>, kSlots> wins_{};
-};
 
 class FloorplanCache {
  public:
@@ -106,12 +58,6 @@ class FloorplanCache {
 
   const Fabric& fabric() const { return fabric_; }
 
-  /// The learned-value-ordering statistics (see FloorplanOrderingModel).
-  /// Wins accumulate on every feasible cache-miss solve regardless of the
-  /// query's FpValueOrder, so switching a driver to kLearned mid-run
-  /// starts from real data.
-  const FloorplanOrderingModel& OrderingModel() const { return ordering_; }
-
  private:
   struct CatalogKey {
     ResourceVec req;
@@ -127,10 +73,6 @@ class FloorplanCache {
   struct VerdictKey {
     std::vector<ResourceVec> canonical;  ///< sorted requirement list
     std::size_t max_placements = 0;
-    /// FpValueOrder of the solve. Part of the key so a learned-order
-    /// verdict (whose rectangles depend on mutable statistics) never
-    /// replays for an enumeration-order query or vice versa.
-    std::uint8_t value_order = 0;
   };
   struct VerdictKeyHash {
     std::uint64_t operator()(const VerdictKey& k) const;
@@ -156,7 +98,6 @@ class FloorplanCache {
       catalog_;
   ConcurrentMemoMap<VerdictKey, Verdict, VerdictKeyHash, VerdictKeyEq>
       verdicts_;
-  FloorplanOrderingModel ordering_;
   /// DFS nodes spent by cache-miss solves (FloorplanCacheStats::solve_nodes).
   std::atomic<std::uint64_t> solve_nodes_{0};
 };

@@ -73,11 +73,9 @@ class Search {
  public:
   Search(const Fabric& fabric,
          const std::vector<const PlacementSet*>& candidates,
-         const FloorplanOptions& options,
-         const std::vector<std::vector<std::uint32_t>>* visit_order)
+         const FloorplanOptions& options)
       : candidates_(candidates),
         options_(options),
-        visit_order_(visit_order),
         capacity_(fabric.Capacity()),
         deadline_(options.time_budget_seconds),
         kernels_(simd::Active()) {
@@ -192,18 +190,10 @@ class Search {
     return true;
   }
 
-  /// First visit position >= `from` whose candidate passed the filter, or
-  /// `n` when none is left.
-  static std::size_t NextPassing(const std::uint64_t* pass,
-                                 const std::vector<std::uint32_t>* perm,
-                                 std::size_t from, std::size_t n) {
-    if (perm != nullptr) {
-      while (from < n &&
-             ((pass[(*perm)[from] / 64] >> ((*perm)[from] % 64)) & 1U) == 0) {
-        ++from;
-      }
-      return from;
-    }
+  /// First candidate >= `from` that passed the filter, or `n` when none is
+  /// left.
+  static std::size_t NextPassing(const std::uint64_t* pass, std::size_t from,
+                                 std::size_t n) {
     if (from >= n) return n;
     std::size_t w = from / 64;
     std::uint64_t bits = pass[w] & (~std::uint64_t{0} << (from % 64));
@@ -225,8 +215,6 @@ class Search {
     std::uint64_t* next = used_stack_.data() + (depth + 1) * mask_words_;
     const std::int64_t* consumed = consumed_stack_.data() + depth * kinds_;
     const std::int64_t* suffix = suffix_min_res_.data() + (depth + 1) * kinds_;
-    const std::vector<std::uint32_t>* perm =
-        visit_order_ ? &(*visit_order_)[region] : nullptr;
 
     // One filter pass over the whole candidate column. Area-capacity
     // prune: the cells a rectangle takes plus the minimum footprint of
@@ -245,14 +233,13 @@ class Search {
                             1 + kinds_, set.mask_columns.data(), used,
                             mask_words_, set.stride, n, pass);
 
-    // Walk the survivors in visit order. The candidates skipped on the way
-    // were visited and pruned: they still count as nodes.
+    // Walk the survivors in enumeration order. The candidates skipped on
+    // the way were visited and pruned: they still count as nodes.
     std::size_t counted = 0;
-    for (std::size_t j = NextPassing(pass, perm, 0, n); j < n;
-         j = NextPassing(pass, perm, j + 1, n)) {
-      if (!CountNodes(j + 1 - counted)) return false;
-      counted = j + 1;
-      const std::size_t k = perm ? (*perm)[j] : j;
+    for (std::size_t k = NextPassing(pass, 0, n); k < n;
+         k = NextPassing(pass, k + 1, n)) {
+      if (!CountNodes(k + 1 - counted)) return false;
+      counted = k + 1;
       for (std::size_t w = 0; w < mask_words_; ++w) {
         next[w] = used[w] | set.MaskWord(w, k);
       }
@@ -288,7 +275,6 @@ class Search {
 
   const std::vector<const PlacementSet*>& candidates_;
   const FloorplanOptions& options_;
-  const std::vector<std::vector<std::uint32_t>>* visit_order_;
   ResourceVec capacity_;
   Deadline deadline_;
   const simd::KernelTable& kernels_;
@@ -379,10 +365,9 @@ PlacementSet EnumeratePrunedPlacementSet(const Fabric& fabric,
 
 FloorplanResult SolveFloorplanFeasibility(
     const Fabric& fabric, const std::vector<const PlacementSet*>& candidates,
-    const FloorplanOptions& options,
-    const std::vector<std::vector<std::uint32_t>>* visit_order) {
+    const FloorplanOptions& options) {
   FloorplanResult result;
-  Search search(fabric, candidates, options, visit_order);
+  Search search(fabric, candidates, options);
   std::vector<Rect> solution;
   const bool ok =
       search.Run(solution, result.budget_exhausted, result.nodes_explored);
@@ -443,142 +428,6 @@ FloorplanResult FindFloorplan(const FpgaDevice& device,
       result.rects[order[k]] = canonical.rects[k];
     }
   }
-  result.seconds = timer.ElapsedSeconds();
-  return result;
-}
-
-namespace {
-
-/// Branch-and-bound minimizing total occupied cells. Reuses the candidate
-/// enumeration of the feasibility search; candidates are visited smallest
-/// first so the first full assignment is already good and the suffix
-/// min-area bound prunes aggressively.
-class CompactSearch {
- public:
-  CompactSearch(std::vector<std::vector<Rect>> candidates,
-                const FloorplanOptions& options)
-      : candidates_(std::move(candidates)),
-        options_(options),
-        deadline_(options.time_budget_seconds) {
-    for (auto& c : candidates_) {
-      std::sort(c.begin(), c.end(), [](const Rect& a, const Rect& b) {
-        return a.Area() < b.Area();
-      });
-    }
-    order_.resize(candidates_.size());
-    std::iota(order_.begin(), order_.end(), std::size_t{0});
-    std::sort(order_.begin(), order_.end(), [&](std::size_t a,
-                                                std::size_t b) {
-      return candidates_[a].size() < candidates_[b].size();
-    });
-    suffix_min_area_.assign(order_.size() + 1, 0);
-    for (std::size_t d = order_.size(); d-- > 0;) {
-      std::size_t min_area = SIZE_MAX;
-      for (const Rect& r : candidates_[order_[d]]) {
-        min_area = std::min(min_area, r.Area());
-      }
-      suffix_min_area_[d] = suffix_min_area_[d + 1] + min_area;
-    }
-    chosen_.assign(candidates_.size(), Rect{});
-  }
-
-  bool Run(std::vector<Rect>& solution, std::size_t& cells,
-           bool& budget_exhausted, std::size_t& nodes) {
-    Dfs(0, 0);
-    budget_exhausted = budget_exhausted_;
-    nodes = nodes_;
-    if (best_cells_ == SIZE_MAX) return false;
-    solution = best_;
-    cells = best_cells_;
-    return true;
-  }
-
- private:
-  void Dfs(std::size_t depth, std::size_t used_cells) {
-    if (depth == order_.size()) {
-      if (used_cells < best_cells_) {
-        best_cells_ = used_cells;
-        best_ = chosen_;
-      }
-      return;
-    }
-    if (budget_exhausted_) return;
-    const std::size_t region = order_[depth];
-    for (const Rect& rect : candidates_[region]) {
-      if (++nodes_ % 1024 == 0) {
-        if ((options_.max_nodes != 0 && nodes_ >= options_.max_nodes) ||
-            deadline_.Expired()) {
-          budget_exhausted_ = true;
-          return;
-        }
-      }
-      const std::size_t lower =
-          used_cells + rect.Area() + suffix_min_area_[depth + 1];
-      if (lower >= best_cells_) {
-        // Candidates are area-sorted: every later one is at least as big.
-        break;
-      }
-      bool clash = false;
-      for (std::size_t d = 0; d < depth; ++d) {
-        if (rect.Overlaps(chosen_[order_[d]])) {
-          clash = true;
-          break;
-        }
-      }
-      if (clash) continue;
-      chosen_[region] = rect;
-      Dfs(depth + 1, used_cells + rect.Area());
-      if (budget_exhausted_) return;
-    }
-  }
-
-  std::vector<std::vector<Rect>> candidates_;
-  const FloorplanOptions& options_;
-  Deadline deadline_;
-  std::vector<std::size_t> order_;
-  std::vector<std::size_t> suffix_min_area_;
-  std::vector<Rect> chosen_;
-  std::vector<Rect> best_;
-  std::size_t best_cells_ = SIZE_MAX;
-  std::size_t nodes_ = 0;
-  bool budget_exhausted_ = false;
-};
-
-}  // namespace
-
-CompactFloorplanResult FindCompactFloorplan(
-    const FpgaDevice& device, const std::vector<ResourceVec>& regions,
-    const FloorplanOptions& options) {
-  WallTimer timer;
-  CompactFloorplanResult result;
-  if (regions.empty()) {
-    result.feasible = true;
-    result.seconds = timer.ElapsedSeconds();
-    return result;
-  }
-  const Fabric fabric(device);
-  ResourceVec total = device.Model().ZeroVec();
-  for (const ResourceVec& r : regions) total += r;
-  if (!total.FitsWithin(fabric.Capacity())) {
-    result.seconds = timer.ElapsedSeconds();
-    return result;
-  }
-  std::vector<std::vector<Rect>> candidates;
-  for (const ResourceVec& req : regions) {
-    std::vector<Rect> placements = EnumeratePrunedPlacements(
-        fabric, req, options.max_placements_per_region);
-    if (placements.empty()) {
-      result.seconds = timer.ElapsedSeconds();
-      return result;
-    }
-    candidates.push_back(std::move(placements));
-  }
-  CompactSearch search(std::move(candidates), options);
-  std::vector<Rect> solution;
-  result.feasible = search.Run(solution, result.occupied_cells,
-                               result.budget_exhausted,
-                               result.nodes_explored);
-  if (result.feasible) result.rects = std::move(solution);
   result.seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -26,16 +26,6 @@
 
 namespace resched {
 
-/// Candidate visit order inside the floorplan DFS. kEnumeration walks the
-/// pruned placement list in enumeration order (the historical behaviour
-/// and the default). kLearned reorders each region's candidates by the
-/// historical success rate of its (requirement, fabric-band) bucket as
-/// collected by FloorplanCache, with a stable tie-break back to
-/// enumeration order — deterministic for a single-threaded driver, but
-/// cross-run stats accumulation means two concurrent runs may diverge in
-/// *which* feasible floorplan they find (never in feasibility itself).
-enum class FpValueOrder : std::uint8_t { kEnumeration, kLearned };
-
 struct FloorplanOptions {
   /// Wall-clock budget for one feasibility query; <= 0 disables.
   double time_budget_seconds = 1.0;
@@ -43,8 +33,6 @@ struct FloorplanOptions {
   std::size_t max_nodes = 2'000'000;
   /// Cap on enumerated placements per region (0 = unlimited).
   std::size_t max_placements_per_region = 4096;
-  /// DFS candidate visit order (see FpValueOrder).
-  FpValueOrder value_order = FpValueOrder::kEnumeration;
 };
 
 struct FloorplanResult {
@@ -69,8 +57,7 @@ struct FloorplanCacheStats {
   std::uint64_t catalog_hits = 0;
   std::uint64_t catalog_misses = 0;
   /// DFS nodes explored by cache-miss solves (budget-bounded work the
-  /// cache could not avoid) — the denominator the value-ordering ablation
-  /// reports against.
+  /// cache could not avoid).
   std::uint64_t solve_nodes = 0;
 
   double HitRate() const {
@@ -164,33 +151,13 @@ PlacementSet EnumeratePrunedPlacementSet(const Fabric& fabric,
 /// candidate lists (one pointer per region, all non-null and non-empty,
 /// built by BuildPlacementSet on `fabric` — checked once per call, a
 /// violation throws InternalError). `result.rects` is indexed like
-/// `candidates`. Deterministic: depends only on the candidate lists,
-/// their order, `visit_order` and the budget options — not on wall-clock
-/// time unless the time budget fires.
-///
-/// `visit_order`, when non-null, holds one permutation of [0, rects.size())
-/// per region (indexed like `candidates`): the DFS visits region i's
-/// candidates in that order instead of enumeration order. This is how
-/// FpValueOrder::kLearned is injected; nullptr means enumeration order.
+/// `candidates`. Deterministic: depends only on the candidate lists, their
+/// order and the budget options — not on wall-clock time unless the time
+/// budget fires. Each region's candidates are visited in list order.
 FloorplanResult SolveFloorplanFeasibility(
     const Fabric& fabric,
     const std::vector<const PlacementSet*>& candidates,
-    const FloorplanOptions& options,
-    const std::vector<std::vector<std::uint32_t>>* visit_order = nullptr);
-
-/// Optimizing variant: among floorplans found within the budget, keeps the
-/// one occupying the fewest grid cells (the compactness objective of the
-/// original MILP floorplanner — less footprint leaves more static logic
-/// room and shrinks partial bitstreams in practice). `feasible` is set as
-/// for FindFloorplan; `budget_exhausted` means the returned plan may not
-/// be the global optimum. Total-cell count of the result is reported in
-/// `nodes_explored`-independent field `occupied_cells`.
-struct CompactFloorplanResult : FloorplanResult {
-  std::size_t occupied_cells = 0;
-};
-CompactFloorplanResult FindCompactFloorplan(
-    const FpgaDevice& device, const std::vector<ResourceVec>& regions,
-    const FloorplanOptions& options = {});
+    const FloorplanOptions& options);
 
 /// Checks that `rects` is a valid floorplan for `regions` (non-overlap,
 /// inside the fabric, resource-sufficient). Used by the validator and tests.

@@ -19,6 +19,9 @@ using service::OkBody;
 using service::RescheddClient;
 using service::WithId;
 
+/// The one tenant of every per-backend forward queue.
+constexpr const char* kForwardTenant = service::kDefaultTenant;
+
 JsonValue AsInt64(std::uint64_t v) {
   return JsonValue(static_cast<std::int64_t>(v));
 }
@@ -51,8 +54,10 @@ RescheddRouter::RescheddRouter(service::Transport& front,
   for (const RouterBackend& cfg : options_.backends) {
     auto state = std::make_unique<BackendState>();
     state->cfg = cfg;
-    state->queue = std::make_unique<service::BoundedQueue<RouteItem>>(
-        options_.queue_capacity_per_backend);
+    service::FairQueueOptions queue_options;
+    queue_options.per_tenant_capacity = options_.queue_capacity_per_backend;
+    state->queue = std::make_unique<service::WeightedFairQueue<RouteItem>>(
+        std::move(queue_options));
     backends_.push_back(std::move(state));
   }
 }
@@ -184,7 +189,7 @@ void RescheddRouter::RouteLine(std::string line, std::string id,
     item.pos = pos;
     const std::string item_id = item.id;
     const std::string item_tenant = item.tenant;
-    switch (backend.queue->TryPush(std::move(item))) {
+    switch (backend.queue->TryPush(kForwardTenant, std::move(item))) {
       case service::PushOutcome::kAccepted:
         CountTenantForward(item_tenant);
         return;
@@ -227,7 +232,7 @@ void RescheddRouter::BroadcastCancel(const std::string& line,
     item.line = line;
     item.id = id;
     item.cancel = fanout;
-    if (backends_[b]->queue->TryPush(std::move(item)) !=
+    if (backends_[b]->queue->TryPush(kForwardTenant, std::move(item)) !=
         service::PushOutcome::kAccepted) {
       // Full or draining: that share of the broadcast goes unanswered.
       CancelShareDone(*fanout, /*reached=*/false, /*cancelled=*/false);
@@ -265,6 +270,8 @@ void RescheddRouter::ForwarderLoop(std::size_t index) {
 
   RouteItem item;
   while (self.queue->Pop(item)) {
+    // No in-flight cap on a forward queue: release the slot on pop.
+    self.queue->OnDone(kForwardTenant);
     if (item.cancel) {
       // A share of a cancel broadcast: report into the fanout instead of
       // writing a response, and never re-route (an unreachable backend
@@ -304,7 +311,7 @@ void RescheddRouter::ForwarderLoop(std::size_t index) {
       if (!next.healthy.load(std::memory_order_relaxed)) continue;
       RouteItem moved = item;
       moved.pos = pos;
-      switch (next.queue->TryPush(std::move(moved))) {
+      switch (next.queue->TryPush(kForwardTenant, std::move(moved))) {
         case service::PushOutcome::kAccepted:
           self.rerouted.fetch_add(1, std::memory_order_relaxed);
           rerouted = true;

@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "router/ring.hpp"
-#include "service/admission.hpp"
+#include "service/fair_queue.hpp"
 #include "service/metrics_export.hpp"
 #include "service/transport.hpp"
 #include "util/mutex.hpp"
@@ -122,7 +122,8 @@ class RescheddRouter {
 
   struct BackendState {
     RouterBackend cfg;
-    std::unique_ptr<service::BoundedQueue<RouteItem>> queue;
+    /// Forward queue: one tenant, so a bounded FIFO.
+    std::unique_ptr<service::WeightedFairQueue<RouteItem>> queue;
     std::atomic<bool> healthy{true};
     std::atomic<std::uint64_t> forwarded{0};
     std::atomic<std::uint64_t> failed{0};

@@ -1,11 +1,16 @@
 // Per-tenant weighted-fair admission queue (deficit round-robin).
 //
-// The single BoundedQueue gave reschedd backpressure but no isolation: a
-// chatty tenant that keeps the FIFO full both starves other tenants'
-// queue positions and eats the whole capacity budget, so a quiet
-// tenant's p99 queue wait grows with the *aggressor's* backlog. This
-// queue gives every tenant its own FIFO with its own capacity, and
-// workers pop via deficit round-robin:
+// Admission control is the service's backpressure mechanism: the reader
+// thread *tries* to enqueue and, when the queue is at capacity, rejects the
+// request immediately with an `overloaded` error instead of blocking — a
+// blocked reader would stop serving cancel/stats verbs, and an unbounded
+// queue would hide overload until memory runs out. Workers block on Pop().
+//
+// A single FIFO would give backpressure but no isolation: a chatty tenant
+// that keeps it full both starves other tenants' queue positions and eats
+// the whole capacity budget, so a quiet tenant's p99 queue wait grows with
+// the *aggressor's* backlog. This queue gives every tenant its own FIFO
+// with its own capacity, and workers pop via deficit round-robin:
 //
 //   * each tenant has a weight w (quantum); when its turn comes its
 //     deficit is recharged to w and it dequeues up to w requests (unit
@@ -24,12 +29,22 @@
 // tenant's head-of-line request by more than (sum of other tenants'
 // weights) requests per round.
 //
-// Single-tenant degeneration: with only kDefaultTenant active, TryPush /
-// Pop behave exactly like BoundedQueue with the same capacity (FIFO, same
-// rejection outcomes) — old clients observe bit-identical admission.
+// Single-tenant degeneration: with one tenant active, TryPush / Pop are a
+// bounded FIFO with the same capacity and rejection outcomes — old clients
+// observe bit-identical admission, and the router uses one single-tenant
+// queue per backend as its forward queue.
 //
-// Close() has the same drain semantics as BoundedQueue, including the
-// expired-first drain handoff (see admission.hpp).
+// Close() flips the queue into drain mode: no further pushes are accepted,
+// blocked Pop() calls keep returning the items already admitted, and once
+// the queue is empty Pop() returns false — which is exactly the graceful-
+// shutdown contract ("never lose an accepted request"). During drain, items
+// whose deadline already passed (as judged by the installed expiry probe)
+// are handed out *first* and flagged, so shutdown sheds doomed work
+// immediately instead of executing a live backlog in front of requests
+// that can only be answered with deadline errors.
+//
+// Every state member is guarded by mu_ (compiler-checked); notifications
+// happen after the lock is dropped so a woken thread never bounces.
 #pragma once
 
 #include <cstddef>
@@ -40,10 +55,14 @@
 #include <string>
 #include <utility>
 
-#include "service/admission.hpp"
 #include "util/mutex.hpp"
 
 namespace resched::service {
+
+/// Why TryPush did (not) admit an item. A full queue and a closed queue
+/// demand different client advice — "back off and retry" versus "this
+/// daemon is going away" — so the rejection carries the reason.
+enum class PushOutcome { kAccepted, kFull, kClosed };
 
 struct FairQueueOptions {
   /// Queue capacity per tenant (the old global queue_capacity, now an
@@ -69,9 +88,11 @@ class WeightedFairQueue {
   WeightedFairQueue(const WeightedFairQueue&) = delete;
   WeightedFairQueue& operator=(const WeightedFairQueue&) = delete;
 
-  /// Non-blocking admission into `tenant`'s queue; same outcome contract
-  /// as BoundedQueue::TryPush, with kFull now meaning *this tenant's*
-  /// capacity is exhausted (per-tenant overload rejection).
+  /// Non-blocking admission into `tenant`'s queue. kFull (*this tenant's*
+  /// capacity is exhausted) / kClosed reject without queueing; the caller
+  /// turns them into `overloaded` / `shutting_down` responses. Closed wins
+  /// when both would apply: after Close() the capacity state is no longer
+  /// meaningful to a client.
   PushOutcome TryPush(const std::string& tenant, T item)
       RESCHED_EXCLUDES(mu_) {
     {
@@ -93,7 +114,9 @@ class WeightedFairQueue {
     return PushOutcome::kAccepted;
   }
 
-  /// Installs the drain-expiry probe (see BoundedQueue::SetExpiryProbe).
+  /// Installs the drain-expiry probe: `probe(item)` answers "is this item
+  /// already past its deadline?". Install before threads start popping
+  /// (the server wires it up during construction).
   void SetExpiryProbe(std::function<bool(const T&)> probe)
       RESCHED_EXCLUDES(mu_) {
     MutexLock lock(mu_);

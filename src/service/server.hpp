@@ -80,8 +80,8 @@ struct ServerOptions {
 
   /// Tenant -> DRR weight (quantum); unlisted tenants get
   /// default_tenant_weight. queue_capacity above is the *per-tenant*
-  /// capacity (with only the default tenant active, admission behaves
-  /// exactly like the old single BoundedQueue).
+  /// capacity (with only the default tenant active, admission is one
+  /// bounded FIFO).
   std::map<std::string, std::uint32_t> tenant_weights;
   std::uint32_t default_tenant_weight = 1;
   /// Max popped-but-unfinished requests per tenant (0 = unlimited).

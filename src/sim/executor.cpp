@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <queue>
 
@@ -1113,56 +1111,11 @@ void FaultedSim::MigrateOrphans(const std::vector<TaskId>& orphans,
 }
 
 SimResult FaultedSim::Finish() {
-  if (done_count_ != n_ && std::getenv("RESCHED_SIM_DEBUG")) {
-    std::fprintf(stderr, "stall at t=%lld: %zu/%zu done\n",
-                 static_cast<long long>(now_), done_count_, n_);
-    for (std::size_t t = 0; t < n_; ++t) {
-      if (tasks_[t].done) continue;
-      std::fprintf(stderr,
-                   "  task %zu: on_fpga=%d target=%zu running=%d prio=(%lld)\n",
-                   t, tasks_[t].on_fpga ? 1 : 0, tasks_[t].target,
-                   tasks_[t].running ? 1 : 0,
-                   static_cast<long long>(tasks_[t].prio.start));
-    }
-    for (std::size_t s = 0; s < regions_.size(); ++s) {
-      std::fprintf(stderr,
-                   "  region %zu: alive=%d offline_until=%lld running=%d "
-                   "loaded=%d entries:",
-                   s, regions_[s].alive ? 1 : 0,
-                   static_cast<long long>(regions_[s].offline_until),
-                   regions_[s].running_task, regions_[s].loaded_task);
-      for (const DesEntry& e : regions_[s].entries) {
-        std::fprintf(stderr, " %d(job=%zd)", e.task,
-                     e.job == SIZE_MAX ? -1
-                                       : static_cast<std::ptrdiff_t>(e.job));
-      }
-      std::fprintf(stderr, "\n");
-    }
-    for (std::size_t c = 0; c < controllers_.size(); ++c) {
-      std::fprintf(stderr, "  controller %zu: running=%zd queue:", c,
-                   controllers_[c].running == SIZE_MAX
-                       ? -1
-                       : static_cast<std::ptrdiff_t>(controllers_[c].running));
-      for (const std::size_t j : controllers_[c].queue) {
-        std::fprintf(
-            stderr, " j%zu(task=%d region=%zu state=%d not_before=%lld)", j,
-            jobs_[j].task, jobs_[j].region, static_cast<int>(jobs_[j].state),
-            static_cast<long long>(jobs_[j].not_before));
-      }
-      std::fprintf(stderr, "\n");
-    }
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-      std::fprintf(stderr, "  core %zu: running=%d queue:", c,
-                   cores_[c].running);
-      for (const TaskId t : cores_[c].queue) {
-        std::fprintf(stderr, " %d%s", t,
-                     tasks_[static_cast<std::size_t>(t)].done ? "(done)" : "");
-      }
-      std::fprintf(stderr, "\n");
-    }
-  }
-  RESCHED_CHECK_MSG(done_count_ == n_,
-                    "fault simulation stalled before completing all tasks");
+  RESCHED_CHECK_MSG(
+      done_count_ == n_,
+      StrFormat("fault simulation stalled before completing all tasks at "
+                "t=%lld (%zu/%zu done)",
+                static_cast<long long>(now_), done_count_, n_));
   SimResult result;
   result.task_start.assign(n_, 0);
   result.task_end.assign(n_, 0);

@@ -10,7 +10,7 @@
 //     budget_exhausted, nodes_explored and rects for seeded region sets on
 //     four preset fabrics and for the corpus queries that proved
 //     infeasibility by search, across node budgets around the check
-//     interval, both visit orders and every reachable SIMD backend.
+//     interval and every reachable SIMD backend.
 //   * OraclePrune is the all-pairs dominance prune. EnumeratePrunedPlacements
 //     must return exactly its output on six preset fabrics at placement
 //     caps on both sides of the per-height run lengths.
@@ -83,11 +83,9 @@ OracleRegion MakeOracleRegion(const Fabric& fabric,
 class OracleSearch {
  public:
   OracleSearch(const Fabric& fabric, const std::vector<OracleRegion>& regions,
-               std::size_t max_nodes,
-               const std::vector<std::vector<std::uint32_t>>* visit_order)
+               std::size_t max_nodes)
       : regions_(regions),
         max_nodes_(max_nodes),
-        visit_order_(visit_order),
         capacity_(fabric.Capacity()),
         total_cells_(fabric.Columns() * fabric.Rows()),
         words_(timeline::WordsFor(total_cells_)),
@@ -138,8 +136,7 @@ class OracleSearch {
     const std::uint64_t* used = used_stack_.data() + depth * words_;
     std::uint64_t* next = used_stack_.data() + (depth + 1) * words_;
     const std::int64_t* consumed = consumed_stack_.data() + depth * kinds_;
-    for (std::size_t j = 0; j < set.rects.size(); ++j) {
-      const std::size_t k = visit_order_ ? (*visit_order_)[region][j] : j;
+    for (std::size_t k = 0; k < set.rects.size(); ++k) {
       const Rect& rect = set.rects[k];
       if (++nodes_ % 1024 == 0 && max_nodes_ != 0 && nodes_ >= max_nodes_) {
         budget_exhausted_ = true;
@@ -189,7 +186,6 @@ class OracleSearch {
 
   const std::vector<OracleRegion>& regions_;
   std::size_t max_nodes_;
-  const std::vector<std::vector<std::uint32_t>>* visit_order_;
   ResourceVec capacity_;
   std::size_t total_cells_;
   std::size_t words_;
@@ -251,12 +247,11 @@ struct VerdictMix {
   std::size_t searched_infeasible = 0;
 };
 
-/// Solves `reqs` on `fabric` with the library under every budget, both
-/// visit orders (enumeration, and a seeded permutation standing in for a
-/// learned order) and every reachable backend; each result must equal the
-/// oracle's on all four outputs.
+/// Solves `reqs` on `fabric` with the library under every budget and
+/// every reachable backend; each result must equal the oracle's on all
+/// four outputs.
 void ExpectMatchesOracle(const Fabric& fabric,
-                         const std::vector<ResourceVec>& reqs, Rng& rng,
+                         const std::vector<ResourceVec>& reqs,
                          const std::string& label, VerdictMix& mix) {
   const std::size_t kBudgets[] = {2'000'000, 0, 1, 1023, 1024, 1025, 4097};
   std::vector<PlacementSet> sets;
@@ -268,46 +263,33 @@ void ExpectMatchesOracle(const Fabric& fabric,
     sets.push_back(BuildPlacementSet(fabric, std::move(rects)));
   }
   std::vector<const PlacementSet*> candidates;
-  std::vector<std::vector<std::uint32_t>> permutation;
-  for (const PlacementSet& set : sets) {
-    candidates.push_back(&set);
-    permutation.emplace_back(set.rects.size());
-    std::iota(permutation.back().begin(), permutation.back().end(), 0U);
-    rng.Shuffle(permutation.back());
-  }
-  for (const FpValueOrder order :
-       {FpValueOrder::kEnumeration, FpValueOrder::kLearned}) {
-    const auto* visit =
-        order == FpValueOrder::kLearned ? &permutation : nullptr;
-    bool exhausts_default = false;
-    for (const std::size_t budget : kBudgets) {
-      // An unlimited search only where the default budget finished.
-      if (budget == 0 && exhausts_default) continue;
-      SCOPED_TRACE(label + " budget " + std::to_string(budget) +
-                   (visit ? " learned" : " enumeration"));
-      const FloorplanResult want =
-          OracleSearch(fabric, oracle_regions, budget, visit).Run();
-      if (budget == 2'000'000) {
-        exhausts_default = want.budget_exhausted;
-        mix.feasible += want.feasible ? 1 : 0;
-        mix.exhausted += want.budget_exhausted ? 1 : 0;
-        mix.searched_infeasible += !want.feasible && !want.budget_exhausted &&
-                                   want.nodes_explored > 0;
-      }
-      FloorplanOptions options;
-      options.time_budget_seconds = 0.0;
-      options.max_nodes = budget;
-      options.value_order = order;
-      for (const simd::Backend backend : ReachableBackends()) {
-        SCOPED_TRACE(simd::BackendName(backend));
-        ScopedBackend guard(backend);
-        const FloorplanResult got =
-            SolveFloorplanFeasibility(fabric, candidates, options, visit);
-        ASSERT_EQ(got.feasible, want.feasible);
-        ASSERT_EQ(got.budget_exhausted, want.budget_exhausted);
-        ASSERT_EQ(got.nodes_explored, want.nodes_explored);
-        ASSERT_TRUE(SameRects(got.rects, want.rects));
-      }
+  for (const PlacementSet& set : sets) candidates.push_back(&set);
+  bool exhausts_default = false;
+  for (const std::size_t budget : kBudgets) {
+    // An unlimited search only where the default budget finished.
+    if (budget == 0 && exhausts_default) continue;
+    SCOPED_TRACE(label + " budget " + std::to_string(budget));
+    const FloorplanResult want =
+        OracleSearch(fabric, oracle_regions, budget).Run();
+    if (budget == 2'000'000) {
+      exhausts_default = want.budget_exhausted;
+      mix.feasible += want.feasible ? 1 : 0;
+      mix.exhausted += want.budget_exhausted ? 1 : 0;
+      mix.searched_infeasible += !want.feasible && !want.budget_exhausted &&
+                                 want.nodes_explored > 0;
+    }
+    FloorplanOptions options;
+    options.time_budget_seconds = 0.0;
+    options.max_nodes = budget;
+    for (const simd::Backend backend : ReachableBackends()) {
+      SCOPED_TRACE(simd::BackendName(backend));
+      ScopedBackend guard(backend);
+      const FloorplanResult got =
+          SolveFloorplanFeasibility(fabric, candidates, options);
+      ASSERT_EQ(got.feasible, want.feasible);
+      ASSERT_EQ(got.budget_exhausted, want.budget_exhausted);
+      ASSERT_EQ(got.nodes_explored, want.nodes_explored);
+      ASSERT_TRUE(SameRects(got.rects, want.rects));
     }
   }
 }
@@ -327,7 +309,7 @@ TEST(FloorplanOracleTest, BatchedDfsMatchesPerCandidateDfs) {
       for (std::size_t i = 0; i < num_regions; ++i) {
         reqs.push_back(RandomRequirement(rng, fabric.Capacity(), 1, 4, 5));
       }
-      ExpectMatchesOracle(fabric, reqs, rng,
+      ExpectMatchesOracle(fabric, reqs,
                           std::string(preset.name) + " set " +
                               std::to_string(set_index),
                           mix);
@@ -356,7 +338,7 @@ TEST(FloorplanOracleTest, BatchedDfsMatchesPerCandidateDfs) {
         min_areas += min_area;
         reqs.push_back(req);
       }
-      ExpectMatchesOracle(fabric, reqs, rng,
+      ExpectMatchesOracle(fabric, reqs,
                           std::string(preset.name) + " dense set " +
                               std::to_string(set_index),
                           mix);
@@ -375,7 +357,6 @@ TEST(FloorplanOracleTest, SearchedInfeasibleCorpusQueriesMatch) {
   std::ifstream in(std::string(RESCHED_TEST_DATA_DIR) +
                    "/floorplan_corpus.txt");
   ASSERT_TRUE(in) << "missing data/floorplan_corpus.txt";
-  Rng rng(0xC0A9);
   VerdictMix mix;
   std::string line;
   while (std::getline(in, line)) {
@@ -395,7 +376,7 @@ TEST(FloorplanOracleTest, SearchedInfeasibleCorpusQueriesMatch) {
     while (fields >> clb >> comma >> bram >> comma >> dsp) {
       reqs.push_back(ResourceVec({clb, bram, dsp}));
     }
-    ExpectMatchesOracle(fabric, reqs, rng, line.substr(0, 40), mix);
+    ExpectMatchesOracle(fabric, reqs, line.substr(0, 40), mix);
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(mix.searched_infeasible, 0u);

@@ -27,6 +27,7 @@ int f() {
   delete p;
   srand(static_cast<unsigned>(time(nullptr)));
   std::random_device rd;
+  if (std::getenv("RESCHED_HIDDEN_KNOB") != nullptr) return 0;
   return std::rand();
 }
 EOF
@@ -104,7 +105,7 @@ EOF
 out=$("$PYTHON" "$LINT" --root "$TMP") && fail "seeded violations not detected"
 for rule in no-std-rand no-wall-clock-seed no-argless-random-device \
     no-unordered-in-output pragma-once include-cycle no-naked-new \
-    no-silent-catch no-adhoc-seed-derivation \
+    no-getenv-outside-util no-silent-catch no-adhoc-seed-derivation \
     no-unchecked-syscall-return no-unchecked-stream-write \
     no-vector-bool-hot reserve-before-push-hot \
     no-raw-intrinsics-outside-simd no-unframed-tcp-write; do
@@ -271,6 +272,19 @@ bool send_line(resched::StreamSocket& sock, const std::string& line) {
 EOF
 "$PYTHON" "$LINT" --root "$CLEAN" \
     || fail "no-unframed-tcp-write fired on sanctioned usage"
+
+# --- getenv is sanctioned in src/util/ and outside src/ ----------------------
+mkdir -p "$CLEAN/src/util" "$CLEAN/bench"
+cat > "$CLEAN/src/util/knob.cpp" <<'EOF'
+#include <cstdlib>
+bool verbose() { return std::getenv("RESCHED_LOG") != nullptr; }
+EOF
+cat > "$CLEAN/bench/scale.cpp" <<'EOF'
+#include <cstdlib>
+const char* scale() { return std::getenv("RESCHED_BENCH_SCALE"); }
+EOF
+"$PYTHON" "$LINT" --root "$CLEAN" \
+    || fail "no-getenv-outside-util fired on sanctioned usage"
 
 # --- intrinsics are sanctioned only inside src/util/simd.hpp ------------------
 # NEON spellings must be caught too, and the dispatch layer itself is the

@@ -22,7 +22,6 @@
 #include "io/instance_hash.hpp"
 #include "io/instance_io.hpp"
 #include "io/schedule_io.hpp"
-#include "service/admission.hpp"
 #include "service/client.hpp"
 #include "service/fair_queue.hpp"
 #include "service/framing.hpp"
@@ -39,7 +38,6 @@
 namespace resched {
 namespace {
 
-using service::BoundedQueue;
 using service::PipeTransport;
 using service::RescheddServer;
 using service::ServerOptions;
@@ -133,41 +131,6 @@ class PipeServer {
   std::thread thread_;
   bool stopped_ = false;
 };
-
-// ------------------------------------------------------------ admission --
-
-TEST(BoundedQueueTest, RejectsWhenFullAndDrainsOnClose) {
-  using service::PushOutcome;
-  BoundedQueue<int> queue(2);
-  EXPECT_EQ(queue.TryPush(1), PushOutcome::kAccepted);
-  EXPECT_EQ(queue.TryPush(2), PushOutcome::kAccepted);
-  // Full: backpressure, not blocking — and the reason is reported so the
-  // server can answer `overloaded` rather than a generic refusal.
-  EXPECT_EQ(queue.TryPush(3), PushOutcome::kFull);
-  EXPECT_EQ(queue.Size(), 2u);
-
-  queue.Close();
-  // Closed: no new admissions. Distinct from kFull — the server maps this
-  // to `shutting_down`, and closed wins even while the queue is also full.
-  EXPECT_EQ(queue.TryPush(4), PushOutcome::kClosed);
-
-  int out = 0;
-  EXPECT_TRUE(queue.Pop(out));  // admitted items still drain
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(queue.Pop(out));
-  EXPECT_EQ(out, 2);
-  EXPECT_FALSE(queue.Pop(out));  // drained + closed
-}
-
-TEST(BoundedQueueTest, CloseWakesBlockedPop) {
-  BoundedQueue<int> queue(1);
-  std::thread popper([&queue] {
-    int out = 0;
-    EXPECT_FALSE(queue.Pop(out));
-  });
-  queue.Close();
-  popper.join();
-}
 
 // --------------------------------------------------------- cancellation --
 
@@ -803,6 +766,43 @@ TEST(FairQueueTest, SingleTenantDegeneratesToFifo) {
   EXPECT_FALSE(queue.Pop(out));
 }
 
+TEST(FairQueueTest, RejectsWhenFullAndDrainsOnClose) {
+  using service::PushOutcome;
+  service::FairQueueOptions options;
+  options.per_tenant_capacity = 2;
+  IntFairQueue queue(options);
+  EXPECT_EQ(queue.TryPush("default", 1), PushOutcome::kAccepted);
+  EXPECT_EQ(queue.TryPush("default", 2), PushOutcome::kAccepted);
+  // Full: backpressure, not blocking — and the reason is reported so the
+  // server can answer `overloaded` rather than a generic refusal.
+  EXPECT_EQ(queue.TryPush("default", 3), PushOutcome::kFull);
+  EXPECT_EQ(queue.Size(), 2u);
+
+  queue.Close();
+  // Closed: no new admissions. Distinct from kFull — the server maps this
+  // to `shutting_down`, and closed wins even while the queue is also full.
+  EXPECT_EQ(queue.TryPush("default", 4), PushOutcome::kClosed);
+
+  int out = 0;
+  EXPECT_TRUE(queue.Pop(out));  // admitted items still drain
+  EXPECT_EQ(out, 1);
+  queue.OnDone("default");
+  EXPECT_TRUE(queue.Pop(out));
+  EXPECT_EQ(out, 2);
+  queue.OnDone("default");
+  EXPECT_FALSE(queue.Pop(out));  // drained + closed
+}
+
+TEST(FairQueueTest, CloseWakesBlockedPop) {
+  IntFairQueue queue(service::FairQueueOptions{});
+  std::thread popper([&queue] {
+    int out = 0;
+    EXPECT_FALSE(queue.Pop(out));
+  });
+  queue.Close();
+  popper.join();
+}
+
 TEST(FairQueueTest, WeightsGiveProportionalTurns) {
   service::FairQueueOptions options;
   options.weights["heavy"] = 2;
@@ -861,27 +861,6 @@ TEST(FairQueueTest, DrainHandsOutExpiredItemsFirst) {
   }
   std::sort(rest.begin(), rest.end());
   EXPECT_EQ(rest, (std::vector<int>{1, 3}));
-}
-
-TEST(BoundedQueueTest, DrainHandsOutExpiredItemsFirst) {
-  BoundedQueue<int> queue(8);
-  queue.SetExpiryProbe([](const int& v) { return v < 0; });
-  queue.TryPush(1);
-  queue.TryPush(2);
-  queue.TryPush(-3);
-  queue.TryPush(4);
-  queue.Close();
-  int out = 0;
-  bool expired = false;
-  ASSERT_TRUE(queue.Pop(out, &expired));
-  EXPECT_EQ(out, -3);
-  EXPECT_TRUE(expired);
-  for (const int expect : {1, 2, 4}) {
-    ASSERT_TRUE(queue.Pop(out, &expired));
-    EXPECT_EQ(out, expect);
-    EXPECT_FALSE(expired);
-  }
-  EXPECT_FALSE(queue.Pop(out, &expired));
 }
 
 // ------------------------------------------------------- client backoff --

@@ -91,7 +91,7 @@ int Usage() {
       "                       [--frames K] [--metrics]\n"
       "                       [--budget SEC] [--threads T] [--seed S]\n"
       "                       [--module-reuse] [--no-balancing]\n"
-      "                       [--no-floorplan] [--fp-order enum|learned]\n"
+      "                       [--no-floorplan]\n"
       "                       [--format summary|table|gantt|json|svg]\n"
       "                       [--out schedule.json] [--svg-out f.svg]\n"
       "                       [--floorplan-svg-out f.svg]\n"
@@ -184,14 +184,6 @@ int CmdSchedule(const Flags& flags) {
   pa_options.sw_balancing = !flags.GetBool("no-balancing", false);
   pa_options.run_floorplan = !flags.GetBool("no-floorplan", false);
   pa_options.seed = seed;
-  const std::string fp_order = flags.GetString("fp-order", "enum");
-  if (fp_order == "learned") {
-    pa_options.floorplan.value_order = FpValueOrder::kLearned;
-  } else if (fp_order != "enum") {
-    std::cerr << "unknown --fp-order " << fp_order
-              << " (expected enum|learned)\n";
-    return 2;
-  }
 
   Schedule schedule;
   if (algo == "pa") {

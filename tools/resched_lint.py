@@ -25,6 +25,11 @@ Rules:
   include-cycle             the repo-relative include graph must be acyclic.
   no-naked-new              naked new/delete outside src/util/; use
                             containers or smart pointers.
+  no-getenv-outside-util    getenv outside src/util/: an environment
+                            variable read deep in library code is a hidden
+                            knob that no flag, option or doc shows; take
+                            the setting as an option, or read it once in
+                            src/util/ where the process-wide knobs live.
   no-silent-catch           a `catch (...)` that neither rethrows nor logs
                             swallows failures the fault-injection layer is
                             supposed to surface; rethrow, log, or narrow
@@ -246,6 +251,8 @@ UNORDERED_RE = re.compile(
 NAKED_NEW_RE = re.compile(r"(?<![\w.:])new\b(?!\s*\()")
 NAKED_DELETE_RE = re.compile(r"(?<![\w.:])delete\b(?!\s*[;)\]],?)")
 DELETED_FN_RE = re.compile(r"=\s*delete\b")
+
+GETENV_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
 
 # Ad-hoc seed derivation: HashCombine applied to something seed-like. The
 # sanctioned derivation lives in src/util/rng.* (DeriveSeed + stream tags),
@@ -526,6 +533,11 @@ def lint_file(path, root, findings):
                 report(
                     lineno, "no-naked-new",
                     "naked `delete` outside src/util/; use RAII owners")
+            if GETENV_RE.search(line):
+                report(
+                    lineno, "no-getenv-outside-util",
+                    "getenv outside src/util/ is a hidden knob; take the "
+                    "setting as an option")
         if (relpath.startswith(UNFRAMED_SCOPE_PREFIXES) or
                 relpath in UNFRAMED_SCOPE_FILES) and \
                 UNFRAMED_WRITE_RE.search(line):
@@ -627,7 +639,8 @@ def main(argv):
         for rule, _, _ in TOKEN_RULES:
             print(rule)
         for rule in ("no-unordered-in-output", "pragma-once",
-                     "include-cycle", "no-naked-new", "no-silent-catch",
+                     "include-cycle", "no-naked-new",
+                     "no-getenv-outside-util", "no-silent-catch",
                      "no-adhoc-seed-derivation",
                      "no-unchecked-syscall-return",
                      "no-unchecked-stream-write", "no-vector-bool-hot",

@@ -81,7 +81,8 @@ RAW_SYNC_TYPES = (
 # Callee spellings that block (or can block for a scheduler-shaped amount
 # of time). Holding a lock across any of these stalls every thread behind
 # the lock for the duration. CondVar Wait/NotifyOne/NotifyAll are absent
-# by design; so is BoundedQueue::Push (bounded-reject, never blocks).
+# by design; so is WeightedFairQueue::TryPush (bounded-reject, never
+# blocks).
 BLOCKING_CALLS = frozenset({
     # socket / fd layer
     "SendAll", "RecvSome", "Accept", "Connect", "SendLine",
