@@ -23,6 +23,7 @@
 #include "io/instance_io.hpp"
 #include "service/protocol.hpp"
 #include "taskgraph/timing.hpp"
+#include "util/simd.hpp"
 
 #ifndef RESCHED_DATA_DIR
 #error "RESCHED_DATA_DIR must be defined by the build"
@@ -48,25 +49,87 @@ void BM_GenerateInstance(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateInstance)->Arg(10)->Arg(50)->Arg(100);
 
-void BM_CpmWindows(benchmark::State& state) {
-  const Instance inst = MakeBenchInstance(
-      static_cast<std::size_t>(state.range(0)));
-  TimingContext timing(inst.graph);
-  for (std::size_t t = 0; t < inst.graph.NumTasks(); ++t) {
-    timing.SetExecTime(static_cast<TaskId>(t),
-                       inst.graph.GetTask(static_cast<TaskId>(t))
-                           .impls.front()
-                           .exec_time);
+/// A timing context over a bench instance with every exec time set, and a
+/// topological order of its tasks.
+struct CpmFixture {
+  explicit CpmFixture(std::size_t n)
+      : inst(MakeBenchInstance(n)), timing(inst.graph),
+        order(inst.graph.TopologicalOrder()) {
+    SetExecTimes();
   }
-  TimeT flip = 1000;
+  void SetExecTimes() {
+    for (std::size_t t = 0; t < inst.graph.NumTasks(); ++t) {
+      timing.SetExecTime(static_cast<TaskId>(t),
+                         inst.graph.GetTask(static_cast<TaskId>(t))
+                             .impls.front()
+                             .exec_time);
+    }
+  }
+  /// Restart reset outside the timed region, once per `period` mutations.
+  void MaybeReset(benchmark::State& state, std::size_t& count,
+                  std::size_t period) {
+    if (++count < period) return;
+    count = 0;
+    state.PauseTiming();
+    timing.Reset();
+    SetExecTimes();
+    benchmark::DoNotOptimize(timing.Makespan());
+    state.ResumeTiming();
+  }
+
+  Instance inst;
+  TimingContext timing;
+  std::vector<TaskId> order;
+};
+
+// Full CPM: an exec-time decrease is not monotone, so every read reruns
+// the forward sweep, then Windows() adds the backward sweep.
+void BM_CpmFullSweep(benchmark::State& state) {
+  CpmFixture f(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    // Alternate an exec time so every Windows() call recomputes.
-    timing.SetExecTime(0, flip);
-    flip = flip == 1000 ? 1001 : 1000;
-    benchmark::DoNotOptimize(timing.Windows().makespan);
+    f.timing.SetExecTime(0, 1001);
+    f.timing.SetExecTime(0, 1000);
+    benchmark::DoNotOptimize(f.timing.Windows().makespan);
   }
 }
-BENCHMARK(BM_CpmWindows)->Arg(10)->Arg(50)->Arg(100);
+BENCHMARK(BM_CpmFullSweep)->Arg(10)->Arg(50)->Arg(100);
+
+// The PA hot-loop pattern: serialize two tasks a few topological positions
+// apart, then read T_MIN (seed propagation only).
+void BM_CpmIncrementalEdge(benchmark::State& state) {
+  CpmFixture f(static_cast<std::size_t>(state.range(0)));
+  const std::size_t n = f.order.size();
+  Rng rng(7);
+  std::size_t count = 0;
+  for (auto _ : state) {
+    const auto a = static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(n) - 2));
+    const std::size_t b =
+        std::min(n - 1, a + static_cast<std::size_t>(rng.UniformInt(1, 8)));
+    f.timing.AddOrderingEdge(f.order[a], f.order[b], 0);
+    benchmark::DoNotOptimize(f.timing.EarliestStarts().data());
+    f.MaybeReset(state, count, 2 * n);
+  }
+}
+BENCHMARK(BM_CpmIncrementalEdge)->Arg(10)->Arg(50)->Arg(100);
+
+// §V-G delay propagation: raise one task's release past its T_MIN, then
+// read T_MIN.
+void BM_CpmIncrementalRelease(benchmark::State& state) {
+  CpmFixture f(static_cast<std::size_t>(state.range(0)));
+  const std::size_t n = f.order.size();
+  Rng rng(7);
+  std::size_t count = 0;
+  for (auto _ : state) {
+    const TaskId t = f.order[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(n) - 1))];
+    const TimeT es = f.timing.EarliestStarts()[static_cast<std::size_t>(t)];
+    f.timing.RaiseRelease(t, es + rng.UniformInt(1, 500));
+    benchmark::DoNotOptimize(f.timing.EarliestStarts().data());
+    f.MaybeReset(state, count, 2 * n);
+  }
+}
+BENCHMARK(BM_CpmIncrementalRelease)->Arg(10)->Arg(50)->Arg(100);
 
 void BM_EnumeratePlacements(benchmark::State& state) {
   const FpgaDevice device = MakeXc7z020();
@@ -396,18 +459,22 @@ class FloorplanLedger : public benchmark::BenchmarkReporter {
       std::sort(values.begin(), values.end());
       return values[values.size() / 2];
     };
+    // Same layout as the committed before/after table, so
+    // `scripts/bench_to_json.py --diff` pairs rows on (case, impl, simd).
+    const std::string simd_name = simd::BackendName(simd::ActiveBackend());
     std::vector<std::vector<std::string>> out;
     for (const auto& [name, row] : rows_) {
-      out.push_back({name.substr(name.rfind('_') + 1), count(row, "queries"),
-                     count(row, "nodes"), count(row, "feasible"),
-                     count(row, "exhausted"), count(row, "requirements"),
-                     count(row, "placements"),
+      out.push_back({name.substr(name.rfind('_') + 1), "current", simd_name,
+                     count(row, "queries"), count(row, "nodes"),
+                     count(row, "feasible"), count(row, "exhausted"),
+                     count(row, "requirements"), count(row, "placements"),
                      StrFormat("%.2f", median(row.pass_ms)),
                      StrFormat("%.0f", median(row.items_per_second))});
     }
     WriteCsv(config, "micro_floorplan",
-             {"case", "queries", "nodes", "feasible", "exhausted",
-              "requirements", "placements", "pass_ms", "items_per_sec"},
+             {"case", "impl", "simd", "queries", "nodes", "feasible",
+              "exhausted", "requirements", "placements", "pass_ms",
+              "items_per_sec"},
              out);
   }
 

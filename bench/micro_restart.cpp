@@ -11,7 +11,9 @@
 // replay-exact cache hits); the harness aborts if any leg disagrees on the
 // best makespan, so a speedup here can never hide a behaviour change. The
 // workload is the Fig. 6 convergence setup (one suite instance per size)
-// under a fixed iteration cap, at 1 and 8 worker threads.
+// under a fixed iteration cap, at 1 and 8 worker threads. Rows carry
+// impl=current, so `scripts/bench_to_json.py --diff` pairs a fresh run with
+// the newest side of the committed before/after table.
 //
 // Allocations are counted by replacing global operator new with a relaxed
 // atomic counter; new[] and the nothrow/aligned forms forward here, so the
@@ -145,7 +147,7 @@ int main() {
              std::to_string(fc.queries), std::to_string(fc.hits),
              std::to_string(fc.misses), std::to_string(fc.evictions),
              StrFormat("%.4f", fc.HitRate()),
-             simd::BackendName(simd::ActiveBackend())});
+             simd::BackendName(simd::ActiveBackend()), "current"});
         if (mode.floorplan_cache && legacy_rate[threads == 8u] > 0.0) {
           const double speedup = rate / legacy_rate[threads == 8u];
           std::cout << "   speedup vs legacy @" << threads
@@ -162,7 +164,7 @@ int main() {
            {"instance", "num_tasks", "mode", "threads", "iterations",
             "seconds", "restarts_per_sec", "allocs_per_iter",
             "best_makespan_us", "cache_queries", "cache_hits", "cache_misses",
-            "cache_evictions", "cache_hit_rate", "simd"},
+            "cache_evictions", "cache_hit_rate", "simd", "impl"},
            csv_rows);
   if (speedup_count_8t > 0) {
     std::cout << "\ngeomean speedup @8 threads (reuse+cache vs legacy): "

@@ -28,9 +28,11 @@ given. Stdlib only.
 ``--diff`` compares each CSV against the committed ``BENCH_<name>.json``
 (from --baseline-dir, default ``bench_results/``) instead of writing
 anything: rows are matched on the identity columns both sides share
-(instance / num_tasks / mode / threads / scan / simd / workers / cache),
-and every shared numeric column is reported as ``old -> new (delta,
-pct)``. A changed text column other than ``build`` (for example a
+(case / instance / num_tasks / mode / threads / scan / simd / impl /
+workers / cache), and every shared numeric column is reported as ``old ->
+new (delta, pct)``. A fresh run whose rows all read ``impl=current`` is
+matched against the baseline's newest ``impl`` (that of its last row), the
+after side of a committed before/after table. A changed text column other than ``build`` (for example a
 ``bodies_digest`` witness of response bytes) is reported as ``old -> new``.
 Rows present on only one side are listed. Exit status is 0 when every row pairs up —
 deltas are informational — and 1 on unpaired rows or a missing baseline.
@@ -44,10 +46,12 @@ from pathlib import Path
 
 # Columns that identify a row rather than measure it; the row key for
 # --diff is the ordered tuple of these that appear in both headers.
-KEY_HINTS = ("instance", "num_tasks", "mode", "threads", "scan", "simd",
-             "impl", "kind", "name", "workers", "cache")
+KEY_HINTS = ("case", "instance", "num_tasks", "mode", "threads", "scan",
+             "simd", "impl", "kind", "name", "workers", "cache")
 # Text columns that stamp the producing binary; they change every build.
 STAMP_COLUMNS = ("build",)
+# `impl` value of a fresh run of a committed before/after table.
+CURRENT_IMPL = "current"
 
 
 def coerce(cell: str):
@@ -123,6 +127,18 @@ def diff_one(csv_path: Path, baseline_dir: Path) -> int:
     if not keys:
         print(f"{csv_path.stem}: no shared identity columns; cannot pair rows")
         return 1
+    # A fresh run of a before/after table labels its rows impl=current;
+    # they pair with the table's newest side (the impl of its last row),
+    # on the SIMD backends the run covered (one per process).
+    against = ""
+    if ("impl" in keys and old_rows and new_rows
+            and all(r.get("impl") == CURRENT_IMPL for r in new_rows)):
+        newest = old_rows[-1].get("impl")
+        backends = {r.get("simd") for r in new_rows}
+        old_rows = [r for r in old_rows if r.get("impl") == newest
+                    and ("simd" not in keys or r.get("simd") in backends)]
+        new_rows = [dict(r, impl=newest) for r in new_rows]
+        against = f"; {CURRENT_IMPL} vs impl={newest}"
     compared = [
         c for c in header
         if c in old_header and c not in keys and c not in STAMP_COLUMNS
@@ -134,7 +150,7 @@ def diff_one(csv_path: Path, baseline_dir: Path) -> int:
     old_by_key = {row_key(r): r for r in old_rows}
     new_by_key = {row_key(r): r for r in new_rows}
     status = 0
-    print(f"== {csv_path.stem} (keyed on {', '.join(keys)}) ==")
+    print(f"== {csv_path.stem} (keyed on {', '.join(keys)}{against}) ==")
     for key, new in new_by_key.items():
         old = old_by_key.get(key)
         label = "/".join(str(k) for k in key)

@@ -13,7 +13,7 @@ namespace resched::pa {
 
 void AssembleSchedule(const PaContext& ctx, PaScratch& s, Schedule& out) {
   const TaskGraph& graph = ctx.Inst().graph;
-  const TimeWindows& win = s.Timing().Windows();
+  const std::vector<TimeT>& es = s.Timing().EarliestStarts();
   StageBuffers& buf = s.Buffers();
   const ArenaVec<ReconfSlot>& reconfs = buf.timeline;
 
@@ -52,9 +52,9 @@ void AssembleSchedule(const PaContext& ctx, PaScratch& s, Schedule& out) {
       const auto in = static_cast<std::size_t>(in_task);
       const auto out_t = static_cast<std::size_t>(slot.loads_task);
       RESCHED_CHECK_MSG(
-          slot.start >= win.earliest_start[in] + s.Timing().ExecTime(in_task),
+          slot.start >= es[in] + s.Timing().ExecTime(in_task),
           "reconfiguration starts before its ingoing task ends");
-      RESCHED_CHECK_MSG(slot.end <= win.earliest_start[out_t],
+      RESCHED_CHECK_MSG(slot.end <= es[out_t],
                         "reconfiguration ends after its outgoing task starts");
       RESCHED_CHECK_MSG(slot.start >= last_end.at(slot.controller),
                         "reconfigurations overlap on a controller");
@@ -70,7 +70,7 @@ void AssembleSchedule(const PaContext& ctx, PaScratch& s, Schedule& out) {
     TaskSlot& slot = out.task_slots[ti];
     slot.task = t;
     slot.impl_index = s.ImplIndex(t);
-    slot.start = win.earliest_start[ti];
+    slot.start = es[ti];
     slot.end = slot.start + s.Timing().ExecTime(t);
     if (s.RegionOf(t) >= 0) {
       slot.target = TargetKind::kRegion;

@@ -118,9 +118,9 @@ bool PaScratch::CanHost(std::size_t region, TaskId t, std::size_t impl_index,
   // the tasks will actually occupy (§V-E pins T_START = T_MIN), and the
   // serialization edges added on assignment guarantee region exclusivity
   // even when later delay propagation shifts the slots.
-  const TimeWindows& win = timing_.Windows();
+  const std::vector<TimeT>& es = timing_.EarliestStarts();
   const auto ti = static_cast<std::size_t>(t);
-  const TimeT start_t = win.earliest_start[ti];
+  const TimeT start_t = es[ti];
   const TimeT end_t = start_t + timing_.ExecTime(t);
   const TimeT room = require_reconf_room ? r.reconf_time : 0;
 
@@ -132,7 +132,7 @@ bool PaScratch::CanHost(std::size_t region, TaskId t, std::size_t impl_index,
 
   for (const TaskId u : r.tasks) {
     const auto ui = static_cast<std::size_t>(u);
-    const TimeT start_u = win.earliest_start[ui];
+    const TimeT start_u = es[ui];
     const TimeT end_u = start_u + timing_.ExecTime(u);
     // Slots must be disjoint; with reconf room, the side on which the
     // reconfiguration would run must additionally fit reconf_s — unless
@@ -155,7 +155,7 @@ bool PaScratch::CanHost(std::size_t region, TaskId t, std::size_t impl_index,
 bool PaScratch::TimelineClear(std::size_t region, const DraftRegion& r,
                               TimeT start_t, TimeT end_t, TimeT room) const {
   if (r.tasks.empty()) return true;
-  const TimeWindows& win = timing_.Windows();
+  const std::vector<TimeT>& es = timing_.EarliestStarts();
   const std::uint64_t version = timing_.WindowsVersion();
   if (region_tl_.size() < num_regions_) region_tl_.resize(num_regions_);
   RegionTimeline& tl = region_tl_[region];
@@ -163,7 +163,7 @@ bool PaScratch::TimelineClear(std::size_t region, const DraftRegion& r,
     tl.index.ResizeAndClear(tl_bits_);  // keeps capacity
     for (const TaskId u : r.tasks) {
       const auto ui = static_cast<std::size_t>(u);
-      const TimeT s = win.earliest_start[ui];
+      const TimeT s = es[ui];
       tl.index.Set(BucketLo(s), BucketHi(s + timing_.ExecTime(u)));
     }
     tl.version = version;
@@ -184,11 +184,11 @@ bool PaScratch::WouldAvoidReconf(std::size_t region, TaskId t,
   if (impl.module_id < 0) return false;
 
   // Insertion position by earliest start (same rule as AssignToRegion).
-  const TimeWindows& win = timing_.Windows();
-  const TimeT es_t = win.earliest_start[static_cast<std::size_t>(t)];
+  const std::vector<TimeT>& es = timing_.EarliestStarts();
+  const TimeT es_t = es[static_cast<std::size_t>(t)];
   std::size_t pos = 0;
   while (pos < r.tasks.size() &&
-         win.earliest_start[static_cast<std::size_t>(r.tasks[pos])] < es_t) {
+         es[static_cast<std::size_t>(r.tasks[pos])] < es_t) {
     ++pos;
   }
   if (pos == 0) return false;  // would be first: initial config is free anyway
@@ -230,14 +230,14 @@ void PaScratch::AssignToRegion(std::size_t region, TaskId t) {
   RESCHED_CHECK_MSG(region < num_regions_, "region out of range");
   RESCHED_CHECK_MSG(RegionOf(t) < 0, "task already assigned to a region");
   DraftRegion& r = regions_[region];
-  const TimeWindows& win = timing_.Windows();
-  const TimeT es_t = win.earliest_start[static_cast<std::size_t>(t)];
+  const std::vector<TimeT>& es = timing_.EarliestStarts();
+  const TimeT es_t = es[static_cast<std::size_t>(t)];
 
   // Insert position: tasks in a region have pairwise-disjoint windows, so
   // ordering by earliest start equals ordering by windows.
   std::size_t pos = 0;
   while (pos < r.tasks.size() &&
-         win.earliest_start[static_cast<std::size_t>(r.tasks[pos])] < es_t) {
+         es[static_cast<std::size_t>(r.tasks[pos])] < es_t) {
     ++pos;
   }
   r.tasks.insert(r.tasks.begin() + static_cast<std::ptrdiff_t>(pos), t);
@@ -246,13 +246,11 @@ void PaScratch::AssignToRegion(std::size_t region, TaskId t) {
   // aligned with the earliest-start order on both sides.
   RESCHED_DCHECK_MSG(
       pos == 0 ||
-          win.earliest_start[static_cast<std::size_t>(r.tasks[pos - 1])] <=
-              es_t,
+          es[static_cast<std::size_t>(r.tasks[pos - 1])] <= es_t,
       "region serialization order broken on the left neighbour");
   RESCHED_DCHECK_MSG(
       pos + 1 >= r.tasks.size() ||
-          es_t <=
-              win.earliest_start[static_cast<std::size_t>(r.tasks[pos + 1])],
+          es_t <= es[static_cast<std::size_t>(r.tasks[pos + 1])],
       "region serialization order broken on the right neighbour");
 
   // Serialization edges with reconfiguration gaps. Stale prev->next edges

@@ -4,8 +4,9 @@
 // Phase functions mutate a PaScratch in sequence; the driver in
 // pa_scheduler.cpp owns the phase order. The scratch wraps a TimingContext
 // so that every implementation switch, region-ordering edge or release
-// bump transparently re-derives the paper's time windows (T_MIN/T_MAX),
-// the makespan and task criticality.
+// bump transparently re-derives the paper's time windows: the stages read
+// T_MIN (`EarliestStarts()`, kept current incrementally), and T_MAX and
+// task criticality are derived on demand (`Windows()`).
 //
 // Hot-path contract (DESIGN.md §8): a PaScratch is constructed once per
 // worker against a shared immutable PaContext and Reset() between

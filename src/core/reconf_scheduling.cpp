@@ -31,8 +31,7 @@ namespace {
 using PendingReconf = StageBuffers::PendingReconf;
 
 TimeT EndOf(const PaScratch& s, TaskId t) {
-  const TimeWindows& win = s.Timing().Windows();
-  return win.earliest_start[static_cast<std::size_t>(t)] +
+  return s.Timing().EarliestStarts()[static_cast<std::size_t>(t)] +
          s.Timing().ExecTime(t);
 }
 

@@ -24,18 +24,18 @@ void RunSoftwareTaskBalancing(const PaContext& ctx, PaScratch& s) {
     candidates.push_back(t);
   }
   {
-    const TimeWindows& win = s.Timing().Windows();
+    const std::vector<TimeT>& es = s.Timing().EarliestStarts();
     std::stable_sort(candidates.begin(), candidates.end(),
                      [&](TaskId a, TaskId b) {
-                       return win.earliest_start[static_cast<std::size_t>(a)] <
-                              win.earliest_start[static_cast<std::size_t>(b)];
+                       return es[static_cast<std::size_t>(a)] <
+                              es[static_cast<std::size_t>(b)];
                      });
   }
 
   for (const TaskId t : candidates) {
     const TimeT tot_rec_time = s.TotalReconfTimeEstimate();
     const TimeT es_t =
-        s.Timing().Windows().earliest_start[static_cast<std::size_t>(t)];
+        s.Timing().EarliestStarts()[static_cast<std::size_t>(t)];
     if (es_t <= tot_rec_time) continue;
 
     // Find a region able to host t with its lowest-cost fitting HW

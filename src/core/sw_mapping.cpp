@@ -23,11 +23,11 @@ void RunSoftwareTaskMapping(const PaContext& ctx, PaScratch& s) {
     if (!s.ChosenIsHardware(t)) sw_tasks.push_back(t);
   }
   {
-    const TimeWindows& win = s.Timing().Windows();
+    const std::vector<TimeT>& es = s.Timing().EarliestStarts();
     std::stable_sort(sw_tasks.begin(), sw_tasks.end(),
                      [&](TaskId a, TaskId b) {
-                       return win.earliest_start[static_cast<std::size_t>(a)] <
-                              win.earliest_start[static_cast<std::size_t>(b)];
+                       return es[static_cast<std::size_t>(a)] <
+                              es[static_cast<std::size_t>(b)];
                      });
   }
 
@@ -36,8 +36,8 @@ void RunSoftwareTaskMapping(const PaContext& ctx, PaScratch& s) {
   last_on_core.assign(cores, kInvalidTask);
 
   for (const TaskId t : sw_tasks) {
-    const TimeWindows& win = s.Timing().Windows();
-    const TimeT es_t = win.earliest_start[static_cast<std::size_t>(t)];
+    const std::vector<TimeT>& es = s.Timing().EarliestStarts();
+    const TimeT es_t = es[static_cast<std::size_t>(t)];
 
     // Eq. (8): lambda_p = max{0, max_{t2 in T_p}(T_END_t2 - T_MIN_t)}. With
     // chronological processing, the latest-ending task on the core attains
@@ -48,8 +48,7 @@ void RunSoftwareTaskMapping(const PaContext& ctx, PaScratch& s) {
       TimeT delay = 0;
       if (last_on_core[p] != kInvalidTask) {
         const auto li = static_cast<std::size_t>(last_on_core[p]);
-        const TimeT end_last =
-            win.earliest_start[li] + s.Timing().ExecTime(last_on_core[p]);
+        const TimeT end_last = es[li] + s.Timing().ExecTime(last_on_core[p]);
         delay = std::max<TimeT>(0, end_last - es_t);
       }
       if (p == 0 || delay < best_delay) {

@@ -20,7 +20,8 @@ TimingContext::TimingContext(const TaskGraph& graph)
       release_(graph.NumTasks(), 0),
       extra_out_(graph.NumTasks()),
       extra_in_(graph.NumTasks()),
-      visit_stamp_(graph.NumTasks(), 0) {
+      visit_stamp_(graph.NumTasks(), 0),
+      queued_(graph.NumTasks(), 0) {
   // Flatten the base graph into CSR once; the topology never changes over
   // the context's lifetime, only the gap weights do.
   const std::size_t n = graph.NumTasks();
@@ -50,11 +51,13 @@ TimingContext::TimingContext(const TaskGraph& graph)
   succ_gap_.assign(succ_task_.size(), 0);
 }
 
-void TimingContext::WriteCsrGap(TaskId from, TaskId to, TimeT gap) {
+TimeT TimingContext::WriteCsrGap(TaskId from, TaskId to, TimeT gap) {
   const auto fi = static_cast<std::size_t>(from);
   const auto ti = static_cast<std::size_t>(to);
+  TimeT old = 0;
   for (std::size_t e = pred_off_[ti]; e < pred_off_[ti + 1]; ++e) {
     if (pred_task_[e] == from) {
+      old = pred_gap_[e];
       pred_gap_[e] = gap;
       break;
     }
@@ -66,6 +69,7 @@ void TimingContext::WriteCsrGap(TaskId from, TaskId to, TimeT gap) {
     }
   }
   if (gap != 0) have_base_gaps_ = true;
+  return old;
 }
 
 void TimingContext::ClearCsrGaps() {
@@ -83,13 +87,49 @@ void TimingContext::Reset() {
   extra_.clear();
   for (auto& out : extra_out_) out.clear();
   for (auto& in : extra_in_) in.clear();
-  dirty_ = true;
+  order_current_ = false;
+  full_sweep_pending_ = true;
+  backward_stale_ = true;
+}
+
+void TimingContext::Seed(TaskId t) const {
+  if (full_sweep_pending_) return;
+  char& queued = queued_[static_cast<std::size_t>(t)];
+  if (queued) return;
+  queued = 1;
+  seeds_.push_back(t);
+}
+
+void TimingContext::SeedSuccessors(TaskId t) const {
+  const auto ti = static_cast<std::size_t>(t);
+  for (std::size_t e = succ_off_[ti]; e < succ_off_[ti + 1]; ++e) {
+    Seed(succ_task_[e]);
+  }
+  for (const std::size_t e : extra_out_[ti]) Seed(extra_[e].to);
 }
 
 void TimingContext::SetExecTime(TaskId t, TimeT exec) {
   RESCHED_CHECK_MSG(exec > 0, "execution time must be positive");
-  exec_.at(static_cast<std::size_t>(t)) = exec;
-  dirty_ = true;
+  const auto ti = static_cast<std::size_t>(t);
+  TimeT& slot = exec_.at(ti);
+  if (exec == slot) return;
+  const bool grew = exec > slot;
+  slot = exec;
+  ++version_;
+  backward_stale_ = true;
+  if (full_sweep_pending_) return;
+  if (!grew) {
+    // A shorter task can lower T_MIN values: not monotone.
+    full_sweep_pending_ = true;
+    return;
+  }
+  // t's own start is unchanged; its finish moved, so its successors and
+  // the makespan may move. es[t] is a lower bound of its final value (a
+  // pending seed can only raise it, and then Propagate retouches the
+  // makespan), so the max below never overshoots.
+  SeedSuccessors(t);
+  windows_.makespan =
+      std::max(windows_.makespan, windows_.earliest_start[ti] + exec);
 }
 
 TimeT TimingContext::ExecTime(TaskId t) const {
@@ -135,21 +175,35 @@ void TimingContext::AddOrderingEdge(TaskId from, TaskId to, TimeT gap) {
   RESCHED_CHECK_MSG(gap >= 0, "negative ordering gap");
   RESCHED_CHECK_MSG(from != to, "self ordering edge");
   // Eager cycle check *before* inserting: the edge closes a cycle exactly
-  // when `to` already reaches `from`.
-  RESCHED_CHECK_MSG(!Reaches(to, from),
+  // when `to` already reaches `from`. With current T_MIN values (and every
+  // exec time positive, which a completed sweep guarantees) a path
+  // to ~> from forces es[from] >= es[to] + exec[to], so the DFS only runs
+  // when that holds or while a full sweep is still pending.
+  bool may_close_cycle = true;
+  if (!full_sweep_pending_) {
+    UpdateEarliestStarts();
+    const std::vector<TimeT>& es = windows_.earliest_start;
+    const auto fi = static_cast<std::size_t>(from);
+    const auto ti = static_cast<std::size_t>(to);
+    may_close_cycle = es[fi] >= es[ti] + exec_[ti];
+  }
+  RESCHED_CHECK_MSG(!may_close_cycle || !Reaches(to, from),
                     "ordering edges introduced a cycle (scheduler bug)");
   const std::size_t index = extra_.size();
   extra_.push_back(OrderingEdge{from, to, gap});
   extra_out_[static_cast<std::size_t>(from)].push_back(index);
   extra_in_[static_cast<std::size_t>(to)].push_back(index);
-  dirty_ = true;
+  order_current_ = false;
+  backward_stale_ = true;
+  Seed(to);
 }
 
 void TimingContext::RaiseRelease(TaskId t, TimeT release) {
   auto& r = release_.at(static_cast<std::size_t>(t));
   if (release > r) {
     r = release;
-    dirty_ = true;
+    backward_stale_ = true;
+    Seed(t);
   }
 }
 
@@ -172,9 +226,15 @@ void TimingContext::SetBaseEdgeGap(TaskId from, TaskId to, TimeT gap) {
   } else {
     base_gaps_.insert(it, {key, gap});
   }
-  WriteCsrGap(from, to, gap);
+  const TimeT old = WriteCsrGap(from, to, gap);
   have_base_gaps_ = !base_gaps_.empty();
-  dirty_ = true;
+  if (gap == old) return;
+  backward_stale_ = true;
+  if (gap > old) {
+    Seed(to);
+  } else {
+    full_sweep_pending_ = true;
+  }
 }
 
 TimeT TimingContext::BaseEdgeGap(TaskId from, TaskId to) const {
@@ -196,10 +256,12 @@ void TimingContext::AssignBaseEdgeGaps(
                       "AssignBaseEdgeGaps on a missing edge");
     WriteCsrGap(key.first, key.second, gap);
   }
-  dirty_ = true;
+  full_sweep_pending_ = true;
+  backward_stale_ = true;
 }
 
 const std::vector<TaskId>& TimingContext::CombinedTopologicalOrderRef() const {
+  if (order_current_) return kahn_order_;
   const std::size_t n = exec_.size();
   kahn_indegree_.resize(n);
   for (std::size_t t = 0; t < n; ++t) {
@@ -227,6 +289,7 @@ const std::vector<TaskId>& TimingContext::CombinedTopologicalOrderRef() const {
   }
   RESCHED_CHECK_MSG(kahn_order_.size() == n,
                     "ordering edges introduced a cycle (scheduler bug)");
+  order_current_ = true;
   return kahn_order_;
 }
 
@@ -235,11 +298,29 @@ std::vector<TaskId> TimingContext::CombinedTopologicalOrder() const {
 }
 
 const TimeWindows& TimingContext::Windows() const {
-  if (dirty_) Recompute();
+  UpdateEarliestStarts();
+  if (backward_stale_) BackwardSweep();
   return windows_;
 }
 
-void TimingContext::Recompute() const {
+TimeT TimingContext::StartFromInEdges(std::size_t ti) const {
+  // The CSR gap arrays are all-zero unless the communication-overhead
+  // extension is active, so the common case is a pure `es[p] + exec[p]`
+  // reduction over a contiguous slice.
+  const auto& es = windows_.earliest_start;
+  TimeT start = release_[ti];
+  for (std::size_t e = pred_off_[ti]; e < pred_off_[ti + 1]; ++e) {
+    const auto pi = static_cast<std::size_t>(pred_task_[e]);
+    start = std::max(start, es[pi] + exec_[pi] + pred_gap_[e]);
+  }
+  for (const std::size_t e : extra_in_[ti]) {
+    const auto pi = static_cast<std::size_t>(extra_[e].from);
+    start = std::max(start, es[pi] + exec_[pi] + extra_[e].gap);
+  }
+  return start;
+}
+
+void TimingContext::ForwardSweep() const {
   const std::size_t n = exec_.size();
   for (std::size_t t = 0; t < n; ++t) {
     RESCHED_CHECK_MSG(exec_[t] > 0,
@@ -247,26 +328,12 @@ void TimingContext::Recompute() const {
   }
   const std::vector<TaskId>& order = CombinedTopologicalOrderRef();
 
-  windows_.earliest_start.assign(n, 0);
-  windows_.latest_finish.assign(n, 0);
-  windows_.critical.assign(n, false);
-
-  // Forward sweep: T_MIN. The CSR gap arrays are all-zero unless the
-  // communication-overhead extension is active, so the common case is a
-  // pure `es[p] + exec[p]` reduction over a contiguous slice.
+  // Forward sweep: T_MIN in topological order.
   auto& es = windows_.earliest_start;
+  es.assign(n, 0);
   for (const TaskId t : order) {
     const auto ti = static_cast<std::size_t>(t);
-    TimeT start = release_[ti];
-    for (std::size_t e = pred_off_[ti]; e < pred_off_[ti + 1]; ++e) {
-      const auto pi = static_cast<std::size_t>(pred_task_[e]);
-      start = std::max(start, es[pi] + exec_[pi] + pred_gap_[e]);
-    }
-    for (const std::size_t e : extra_in_[ti]) {
-      const auto pi = static_cast<std::size_t>(extra_[e].from);
-      start = std::max(start, es[pi] + exec_[pi] + extra_[e].gap);
-    }
-    es[ti] = start;
+    es[ti] = StartFromInEdges(ti);
   }
 
   TimeT makespan = 0;
@@ -274,6 +341,41 @@ void TimingContext::Recompute() const {
     makespan = std::max(makespan, es[t] + exec_[t]);
   }
   windows_.makespan = makespan;
+
+  // The sweep covers every seed queued before it.
+  for (const TaskId t : seeds_) queued_[static_cast<std::size_t>(t)] = 0;
+  seeds_.clear();
+  ++version_;
+  full_sweep_pending_ = false;
+  backward_stale_ = true;
+}
+
+void TimingContext::Propagate() const {
+  auto& es = windows_.earliest_start;
+  TimeT makespan = windows_.makespan;
+  bool moved = false;
+  // FIFO worklist: `seeds_` doubles as the queue, `head` walks it.
+  for (std::size_t head = 0; head < seeds_.size(); ++head) {
+    const TaskId t = seeds_[head];
+    const auto ti = static_cast<std::size_t>(t);
+    queued_[ti] = 0;
+    const TimeT start = StartFromInEdges(ti);
+    if (start <= es[ti]) continue;
+    es[ti] = start;
+    makespan = std::max(makespan, start + exec_[ti]);
+    moved = true;
+    SeedSuccessors(t);
+  }
+  seeds_.clear();
+  windows_.makespan = makespan;
+  if (moved) ++version_;
+}
+
+void TimingContext::BackwardSweep() const {
+  const std::size_t n = exec_.size();
+  const std::vector<TaskId>& order = CombinedTopologicalOrderRef();
+  const auto& es = windows_.earliest_start;
+  const TimeT makespan = windows_.makespan;
 
   // Backward sweep: T_MAX.
   auto& lf = windows_.latest_finish;
@@ -292,11 +394,11 @@ void TimingContext::Recompute() const {
     lf[ti] = finish;
   }
 
+  windows_.critical.assign(n, false);
   for (std::size_t t = 0; t < n; ++t) {
     windows_.critical[t] = (lf[t] - es[t] == exec_[t]);
   }
-  ++version_;
-  dirty_ = false;
+  backward_stale_ = false;
 }
 
 }  // namespace resched

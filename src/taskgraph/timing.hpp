@@ -12,13 +12,24 @@
 // TimingContext models all three: ordering edges carry a *gap* weight (the
 // reconfiguration time that must elapse between two consecutive tasks in
 // the same region — zero for processor ordering), and per-task release
-// times encode externally imposed delays (reconfigurator contention). One
-// forward/backward longest-path sweep then yields T_MIN/T_MAX, the
-// makespan and task criticality in O(V + E).
+// times encode externally imposed delays (reconfigurator contention).
+//
+// Update rule (DESIGN.md §8). T_MIN and the makespan are maintained; T_MAX
+// and criticality are derived only when Windows() is read.
+//   * Monotone mutations — an ordering edge, a release raise, an exec-time
+//     or base-gap increase — can only raise T_MIN values. They queue seed
+//     tasks (the edge's target, the released task, the slower task's
+//     successors, the gap's target); the next read re-evaluates each seed
+//     from its in-edges and pushes its successors only when its T_MIN rose.
+//     Values only grow, so this reaches the fixpoint a full sweep computes.
+//   * Every other mutation (Reset, an exec-time or base-gap decrease,
+//     AssignBaseEdgeGaps) schedules one full forward sweep in O(V + E).
+//   * Windows() adds the backward sweep (T_MAX) and the criticality labels,
+//     rerun only when something changed since the last Windows() read.
 //
 // Hot-path note: a TimingContext sits inside every PaScratch and is Reset()
-// once per PA-R restart, so all mutators and the sweep reuse member
-// buffers — after warm-up, no call here allocates (see DESIGN.md §8).
+// once per PA-R restart, so all mutators and sweeps reuse member buffers —
+// after warm-up, no call here allocates (see DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -93,15 +104,29 @@ class TimingContext {
 
   const std::vector<OrderingEdge>& ExtraEdges() const { return extra_; }
 
-  /// Recomputes (lazily, cached) the CPM windows over base + extra edges.
-  const TimeWindows& Windows() const;
-  TimeT Makespan() const { return Windows().makespan; }
+  /// T_MIN per task over base + extra edges (brought up to date first).
+  /// The reference stays valid for the context's lifetime; its values
+  /// change with the next mutation. The PA hot loop reads this.
+  const std::vector<TimeT>& EarliestStarts() const {
+    UpdateEarliestStarts();
+    return windows_.earliest_start;
+  }
+  TimeT Makespan() const {
+    UpdateEarliestStarts();
+    return windows_.makespan;
+  }
 
-  /// Monotonic stamp of the current windows (bumped on every recompute,
-  /// never reset): callers caching window-derived state compare stamps to
-  /// detect staleness. Forces the lazy recompute first.
+  /// The full CPM windows: T_MIN plus T_MAX and criticality, whose
+  /// backward sweep reruns only when a mutation happened since the last
+  /// Windows() read.
+  const TimeWindows& Windows() const;
+
+  /// Monotonic stamp of T_MIN and the execution times (never reset): it
+  /// increases whenever any earliest start or exec time may have changed,
+  /// so callers caching state derived from those compare stamps to detect
+  /// staleness. T_MAX may move without a bump. Brings T_MIN up to date.
   std::uint64_t WindowsVersion() const {
-    Windows();
+    UpdateEarliestStarts();
     return version_;
   }
 
@@ -109,16 +134,36 @@ class TimingContext {
   /// CombinedTopologicalOrderRef for the allocation-free variant).
   std::vector<TaskId> CombinedTopologicalOrder() const;
 
-  /// Allocation-free variant: the returned reference stays valid until the
-  /// next mutation of this context.
+  /// Allocation-free variant, cached until the edge set changes: the
+  /// returned reference stays valid until the next mutation of this
+  /// context.
   const std::vector<TaskId>& CombinedTopologicalOrderRef() const;
 
  private:
-  void Recompute() const;
+  void UpdateEarliestStarts() const {
+    if (full_sweep_pending_) {
+      ForwardSweep();
+    } else if (!seeds_.empty()) {
+      Propagate();
+    }
+  }
+  /// max(release, es[p] + exec[p] + gap) over the in-edges of task `ti`.
+  TimeT StartFromInEdges(std::size_t ti) const;
+  /// Full forward sweep: T_MIN and the makespan from scratch.
+  void ForwardSweep() const;
+  /// Drains the seed queue: re-evaluates each seed from its in-edges and
+  /// queues its successors when its T_MIN rose.
+  void Propagate() const;
+  /// Queues `t` for re-evaluation (no-op while a full sweep is pending).
+  void Seed(TaskId t) const;
+  void SeedSuccessors(TaskId t) const;
+  /// Backward sweep (T_MAX) plus the criticality labels.
+  void BackwardSweep() const;
   /// True when a path `from` ~> `to` exists over base + extra edges.
   bool Reaches(TaskId from, TaskId to) const;
-  /// Mirrors one base-gap table entry into the CSR gap arrays.
-  void WriteCsrGap(TaskId from, TaskId to, TimeT gap);
+  /// Mirrors one base-gap table entry into the CSR gap arrays; returns the
+  /// gap it replaced.
+  TimeT WriteCsrGap(TaskId from, TaskId to, TimeT gap);
   /// Zeroes the CSR gap arrays iff any entry may be non-zero.
   void ClearCsrGaps();
 
@@ -129,9 +174,9 @@ class TimingContext {
   /// (only the communication-overhead extension populates it).
   std::vector<std::pair<std::pair<TaskId, TaskId>, TimeT>> base_gaps_;
   // Flat CSR image of the base graph, built once at construction. The CPM
-  // sweeps are the scheduler's innermost loop (they rerun after every
-  // ordering mutation), so they walk these contiguous arrays instead of
-  // chasing per-task adjacency vectors and doing a gap lookup per edge.
+  // sweeps and the seed propagation are the scheduler's innermost loop, so
+  // they walk these contiguous arrays instead of chasing per-task
+  // adjacency vectors and doing a gap lookup per edge.
   // `pred_gap_`/`succ_gap_` mirror base_gaps_ entry-for-entry and are all
   // zero whenever base_gaps_ is empty (the common case).
   std::vector<std::size_t> pred_off_;  // n + 1
@@ -150,13 +195,23 @@ class TimingContext {
   // Reusable sweep/DFS scratch (sized once to NumTasks()).
   mutable std::vector<std::size_t> kahn_indegree_;
   mutable std::vector<TaskId> kahn_order_;
+  /// kahn_order_ matches the current edge set (cleared by edge changes).
+  mutable bool order_current_ = false;
   mutable std::vector<std::uint32_t> visit_stamp_;
   mutable std::uint32_t stamp_ = 0;
   mutable std::vector<TaskId> dfs_stack_;
 
+  // Incremental T_MIN state: a FIFO of seed tasks (drained by the next
+  // read) and a per-task queued flag so a task sits in it at most once.
+  mutable std::vector<TaskId> seeds_;
+  mutable std::vector<char> queued_;
+
   mutable TimeWindows windows_;
   mutable std::uint64_t version_ = 0;
-  mutable bool dirty_ = true;
+  /// T_MIN must be rebuilt from scratch (seeds are then ignored).
+  mutable bool full_sweep_pending_ = true;
+  /// T_MAX/criticality are older than the last mutation.
+  mutable bool backward_stale_ = true;
 };
 
 }  // namespace resched

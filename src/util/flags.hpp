@@ -2,7 +2,7 @@
 //
 // Grammar: `--name value`, `--name=value`, bare `--name` (boolean true),
 // and positional arguments. No external dependencies; unknown-flag
-// detection is the caller's job via Known().
+// detection is the caller's job via UnknownFlags().
 #pragma once
 
 #include <map>

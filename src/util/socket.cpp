@@ -169,30 +169,27 @@ UnixListener::UnixListener(const std::string& path) : path_(path) {
   if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
     ThrowErrno("unlink stale socket " + path);
   }
-  fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd_ < 0) ThrowErrno("socket");
-  if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) ThrowErrno("socket");
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     const int saved = errno;
-    (void)::close(fd_);
-    fd_ = -1;
+    (void)::close(fd);
     errno = saved;
     ThrowErrno("bind " + path);
   }
-  if (::listen(fd_, SOMAXCONN) != 0) {
+  if (::listen(fd, SOMAXCONN) != 0) {
     const int saved = errno;
-    (void)::close(fd_);
-    fd_ = -1;
+    (void)::close(fd);
     errno = saved;
     ThrowErrno("listen on " + path);
   }
+  fd_.store(fd);
 }
 
 UnixListener::~UnixListener() {
-  if (fd_ >= 0) {
-    (void)::close(fd_);
-    fd_ = -1;
-  }
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) (void)::close(fd);
   if (!path_.empty()) {
     (void)::unlink(path_.c_str());
   }
@@ -200,7 +197,7 @@ UnixListener::~UnixListener() {
 
 std::optional<StreamSocket> UnixListener::Accept() {
   for (;;) {
-    const int fd = fd_;
+    const int fd = fd_.load();
     if (fd < 0) return std::nullopt;
     const int client = ::accept(fd, nullptr, nullptr);
     if (client >= 0) return StreamSocket(client);
@@ -216,8 +213,8 @@ std::optional<StreamSocket> UnixListener::Accept() {
 }
 
 void UnixListener::Close() {
-  if (fd_ < 0) return;
-  const int fd = std::exchange(fd_, -1);
+  const int fd = fd_.exchange(-1);
+  if (fd < 0) return;
   // close(2) alone does not wake a sibling thread parked in accept(2);
   // shutdown(2) does for AF_UNIX listeners (accept reports EINVAL, which
   // Accept treats as the orderly-shutdown signal).
@@ -230,24 +227,22 @@ void UnixListener::Close() {
 TcpListener::TcpListener(const std::string& host, std::uint16_t port)
     : host_(host), port_(port) {
   sockaddr_in addr = MakeInetAddress(host, port);
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) ThrowErrno("socket");
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) ThrowErrno("socket");
   // Without SO_REUSEADDR a restart within TIME_WAIT of the old daemon's
   // connections fails with EADDRINUSE; harmless for the ephemeral-port
   // (port 0) case tests use.
   const int one = 1;
-  if (::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) != 0) {
+  if (::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) != 0) {
     const int saved = errno;
-    (void)::close(fd_);
-    fd_ = -1;
+    (void)::close(fd);
     errno = saved;
     ThrowErrno("setsockopt SO_REUSEADDR");
   }
-  if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     const int saved = errno;
-    (void)::close(fd_);
-    fd_ = -1;
+    (void)::close(fd);
     errno = saved;
     ThrowErrno("bind " + host + ":" + std::to_string(port));
   }
@@ -255,38 +250,35 @@ TcpListener::TcpListener(const std::string& host, std::uint16_t port)
     // Learn the kernel-assigned ephemeral port so callers can announce it.
     sockaddr_in bound{};
     socklen_t len = sizeof(bound);
-    if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
       const int saved = errno;
-      (void)::close(fd_);
-      fd_ = -1;
+      (void)::close(fd);
       errno = saved;
       ThrowErrno("getsockname");
     }
     port_ = ntohs(bound.sin_port);
   }
-  if (::listen(fd_, SOMAXCONN) != 0) {
+  if (::listen(fd, SOMAXCONN) != 0) {
     const int saved = errno;
-    (void)::close(fd_);
-    fd_ = -1;
+    (void)::close(fd);
     errno = saved;
     ThrowErrno("listen on " + host + ":" + std::to_string(port_));
   }
+  fd_.store(fd);
 }
 
 TcpListener::~TcpListener() {
-  if (fd_ >= 0) {
-    (void)::close(fd_);
-    fd_ = -1;
-  }
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) (void)::close(fd);
 }
 
 std::optional<StreamSocket> TcpListener::Accept() {
   for (;;) {
-    const int fd = fd_;
+    const int fd = fd_.load();
     if (fd < 0) return std::nullopt;
     const int client = ::accept(fd, nullptr, nullptr);
     if (client >= 0) {
-      if (fd_ < 0) {
+      if (fd_.load() < 0) {
         // Close() ran while we were parked: this is (or races with) its
         // wake-up self-connection, not a client to serve.
         (void)::close(client);
@@ -305,8 +297,8 @@ std::optional<StreamSocket> TcpListener::Accept() {
 }
 
 void TcpListener::Close() {
-  if (fd_ < 0) return;
-  const int fd = std::exchange(fd_, -1);
+  const int fd = fd_.exchange(-1);
+  if (fd < 0) return;
   // Unlike the AF_UNIX case, neither close(2) nor shutdown(2) wakes a
   // thread parked in accept(2) on a TCP listener (observed on Linux 6.x).
   // Complete one throwaway self-connection instead: accept returns it,

@@ -10,6 +10,7 @@
 // util/io_faults shim so the chaos harness covers both address families.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -97,7 +98,9 @@ class UnixListener {
   const std::string& Path() const { return path_; }
 
  private:
-  int fd_ = -1;
+  /// Atomic: Close() on one thread clears it while Accept() on another
+  /// reads it.
+  std::atomic<int> fd_{-1};
   std::string path_;
 };
 
@@ -126,7 +129,8 @@ class TcpListener {
   std::uint16_t Port() const { return port_; }
 
  private:
-  int fd_ = -1;
+  /// Atomic for the same Close()/Accept() hand-off as UnixListener.
+  std::atomic<int> fd_{-1};
   std::string host_;
   std::uint16_t port_ = 0;
 };

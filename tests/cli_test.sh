@@ -160,4 +160,15 @@ done
 "$CLI" schedule --algo pa > /dev/null 2>&1 && fail "missing instance accepted"
 "$CLI" frobnicate > /dev/null 2>&1 && fail "unknown command accepted"
 
+# Unknown flags (a removed option, a typo) fail the command with exit 2.
+for extra in "--fp-order learned" "--bogus-flag 1"; do
+  rc=0
+  # shellcheck disable=SC2086  # split "--name value" into two words
+  "$CLI" schedule --instance "$TMP/i.json" --algo pa $extra \
+      > /dev/null 2> "$TMP/unknown.err" || rc=$?
+  [ "$rc" -eq 2 ] || fail "unknown flag '$extra' exited $rc, want 2"
+  grep -q "^error: unknown flag ${extra%% *}$" "$TMP/unknown.err" \
+      || fail "unknown flag '$extra' message"
+done
+
 echo "cli_test OK"

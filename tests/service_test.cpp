@@ -423,23 +423,29 @@ TEST(RescheddServerTest, CancelUnwindsQueuedAndRunningRequests) {
   server.Send(MakeRequest("schedule", instance, std::move(queued)));
 
   // Cancel the queued request first, then the running one; the control
-  // plane answers inline while the worker is busy.
-  const std::string ack1 = server.SubmitAndWait(
-      R"({"verb":"cancel","id":"c1","target":"queued"})");
+  // plane answers inline while the worker is busy. A cancelled request's
+  // own response may overtake a later ack, so lines are keyed by id.
+  std::map<std::string, std::string> responses;
+  const auto await = [&](const std::string& id) {
+    while (responses.count(id) == 0) {
+      const std::string line = server.Receive();
+      responses.emplace(IdOf(line), line);
+    }
+    return responses.at(id);
+  };
+  server.Send(R"({"verb":"cancel","id":"c1","target":"queued"})");
+  const std::string ack1 = await("c1");
   EXPECT_TRUE(JsonValue::Parse(ack1).GetBool("cancelled", false)) << ack1;
-  const std::string ack2 = server.SubmitAndWait(
-      R"({"verb":"cancel","id":"c2","target":"running"})");
+  server.Send(R"({"verb":"cancel","id":"c2","target":"running"})");
+  const std::string ack2 = await("c2");
   EXPECT_TRUE(JsonValue::Parse(ack2).GetBool("cancelled", false)) << ack2;
-  const std::string ack3 = server.SubmitAndWait(
-      R"({"verb":"cancel","id":"c3","target":"nonexistent"})");
+  server.Send(R"({"verb":"cancel","id":"c3","target":"nonexistent"})");
+  const std::string ack3 = await("c3");
   EXPECT_FALSE(JsonValue::Parse(ack3).GetBool("cancelled", true)) << ack3;
 
-  std::map<std::string, std::string> responses;
-  for (int i = 0; i < 2; ++i) {
-    const std::string line = server.Receive();
-    responses.emplace(IdOf(line), line);
-  }
-  ASSERT_EQ(responses.size(), 2u);
+  await("running");
+  await("queued");
+  ASSERT_EQ(responses.size(), 5u);
   EXPECT_EQ(ErrorCode(responses.at("running")), service::kErrCancelled);
   EXPECT_EQ(ErrorCode(responses.at("queued")), service::kErrCancelled);
   EXPECT_EQ(server.Counters().cancelled, 2u);

@@ -717,18 +717,52 @@ int Main(int argc, char** argv) {
     std::cout << BuildInfoLine() << "\n";
     return 0;
   }
-  const Flags flags = Flags::Parse(argc - 1, argv + 1);
-  if (command == "gen") return CmdGen(flags);
-  if (command == "schedule") return CmdSchedule(flags);
-  if (command == "import-stg") return CmdImportStg(flags);
-  if (command == "validate") return CmdValidate(flags);
-  if (command == "simulate") return CmdSimulate(flags);
-  if (command == "info") return CmdInfo(flags);
-  if (command == "dot") return CmdDot(flags);
-  if (command == "serve") return CmdServe(flags);
-  if (command == "route") return CmdRoute(flags);
-  if (command == "submit") return CmdSubmit(flags);
-  if (command == "replay") return CmdReplay(flags);
+  // Every subcommand names the flags it reads; anything else is a typo or
+  // a removed option and fails the command instead of being ignored.
+  struct Command {
+    const char* name;
+    int (*run)(const Flags&);
+    std::vector<std::string> flags;
+  };
+  const Command commands[] = {
+      {"gen", CmdGen,
+       {"tasks", "share-prob", "seed", "cores", "recfreq-mbps", "out"}},
+      {"schedule", CmdSchedule,
+       {"instance", "frames", "algo", "seed", "module-reuse", "no-balancing",
+        "no-floorplan", "budget", "threads", "slots", "metrics", "format",
+        "out", "svg-out", "floorplan-svg-out"}},
+      {"import-stg", CmdImportStg,
+       {"stg", "cores", "recfreq-mbps", "speedup", "hw-impls", "out"}},
+      {"validate", CmdValidate, {"instance", "schedule"}},
+      {"simulate", CmdSimulate,
+       {"instance", "schedule", "faults", "fault-rate", "trials", "seed",
+        "jitter", "policy", "scenario-out"}},
+      {"info", CmdInfo, {"instance"}},
+      {"dot", CmdDot, {"instance"}},
+      {"serve", CmdServe,
+       {"workers", "queue", "no-result-cache", "no-floorplan-cache",
+        "journal", "journal-sync", "warm-start", "tenant-weights",
+        "tenant-inflight", "metrics-out", "metrics-interval-ms", "socket",
+        "stdio", "port", "host"}},
+      {"route", CmdRoute,
+       {"backends", "attempts", "probe-interval-ms", "route-queue", "vnodes",
+        "metrics-out", "metrics-interval-ms", "socket", "stdio", "port",
+        "host"}},
+      {"submit", CmdSubmit,
+       {"verb", "id", "deadline-ms", "tenant", "instance", "algo", "seed",
+        "iterations", "budget", "module-reuse", "no-balancing",
+        "no-floorplan", "no-cache", "trials", "fault-rate", "policy",
+        "jitter", "target", "print", "socket", "tcp", "retries",
+        "backoff-ms"}},
+      {"replay", CmdReplay, {"journal"}},
+  };
+  for (const Command& cmd : commands) {
+    if (command != cmd.name) continue;
+    const Flags flags = Flags::Parse(argc - 1, argv + 1);
+    const std::vector<std::string> unknown = flags.UnknownFlags(cmd.flags);
+    if (!unknown.empty()) throw FlagError("unknown flag --" + unknown.front());
+    return cmd.run(flags);
+  }
   return Usage();
 }
 
