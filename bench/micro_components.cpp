@@ -21,6 +21,7 @@
 #include "floorplan/floorplan_cache.hpp"
 #include "io/instance_hash.hpp"
 #include "io/instance_io.hpp"
+#include "io/schedule_io.hpp"
 #include "service/protocol.hpp"
 #include "taskgraph/timing.hpp"
 #include "util/simd.hpp"
@@ -183,11 +184,10 @@ std::vector<CorpusQuery> LoadFloorplanCorpus() {
   return corpus;
 }
 
-/// The engine's floorplan options with the wall-clock budget off (the
-/// corpus never reached it), so the counters are a function of the code.
+/// The engine's floorplan options; the node budget makes the counters a
+/// function of the code.
 FloorplanOptions CorpusOptions() {
   FloorplanOptions options;
-  options.time_budget_seconds = 0.0;
   options.max_nodes = 2'000'000;
   options.max_placements_per_region = 4096;
   return options;
@@ -411,6 +411,19 @@ void BM_IngestInstanceToJsonDump(benchmark::State& state) {
   CountRequests(state, CanonicalInstanceText(inst).size());
 }
 BENCHMARK(BM_IngestInstanceToJsonDump)->Arg(40)->Arg(70)->Arg(100);
+
+/// The writer path behind every schedule response body: build the
+/// schedule DOM and serialize it compact.
+void BM_IngestScheduleToJsonDump(benchmark::State& state) {
+  const Instance inst =
+      MakeBenchInstance(static_cast<std::size_t>(state.range(0)));
+  const Schedule schedule = SchedulePa(inst);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ScheduleToJson(inst, schedule).Dump(-1));
+  }
+  CountRequests(state, ScheduleToJson(inst, schedule).Dump(-1).size());
+}
+BENCHMARK(BM_IngestScheduleToJsonDump)->Arg(40)->Arg(70)->Arg(100);
 
 /// Display reporter (whatever --benchmark_format selects) that also
 /// collects the runs of the cases carrying a behaviour counter (the

@@ -72,10 +72,7 @@ bool FloorplanCache::Reusable(const Verdict& v,
                               const FloorplanOptions& options) {
   if (v.budget_exhausted) {
     // Only an equal-or-smaller node budget is guaranteed to exhaust too.
-    // max_nodes == 0 means the recorded stop was wall-clock-triggered:
-    // machine-dependent, never replayed.
-    return v.max_nodes != 0 && options.max_nodes != 0 &&
-           options.max_nodes <= v.max_nodes;
+    return options.max_nodes != 0 && options.max_nodes <= v.max_nodes;
   }
   // Proven verdict: replay unless the query's node budget could have
   // interrupted the recorded solve before it finished.
@@ -165,11 +162,7 @@ FloorplanResult FloorplanCache::Query(const std::vector<ResourceVec>& regions,
       result.rects[order[k]] = verdict.rects[k];
     }
   }
-  // A wall-clock-triggered exhaustion is machine state, not a function of
-  // the query — don't let it shadow a future, possibly-complete solve.
-  if (!(verdict.budget_exhausted && verdict.max_nodes == 0)) {
-    verdicts_.Insert(key, std::move(verdict));
-  }
+  verdicts_.Insert(key, std::move(verdict));
   result.seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -19,8 +19,7 @@
 //     interrupted the recorded solve (max_nodes == 0 or > recorded nodes);
 //   * budget-exhausted verdicts replay only for an equal-or-smaller node
 //     budget — a larger budget might find an answer, so it re-solves and
-//     overwrites the entry. An entry exhausted with no node budget (the
-//     wall-clock limit fired) is never replayed.
+//     overwrites the entry.
 // On a hit `rects`, `feasible`, `budget_exhausted` and `nodes_explored`
 // are the recorded solve's values; only `seconds` reflects the lookup.
 //

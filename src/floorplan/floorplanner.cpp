@@ -77,7 +77,6 @@ class Search {
       : candidates_(candidates),
         options_(options),
         capacity_(fabric.Capacity()),
-        deadline_(options.time_budget_seconds),
         kernels_(simd::Active()) {
     total_cells_ = fabric.Columns() * fabric.Rows();
     mask_words_ = timeline::WordsFor(total_cells_);
@@ -179,8 +178,7 @@ class Search {
     const std::size_t target = nodes_ + count;
     for (std::size_t at = (nodes_ / kBudgetCheckNodes + 1) * kBudgetCheckNodes;
          at <= target; at += kBudgetCheckNodes) {
-      if ((options_.max_nodes != 0 && at >= options_.max_nodes) ||
-          deadline_.Expired()) {
+      if (options_.max_nodes != 0 && at >= options_.max_nodes) {
         nodes_ = at;
         budget_exhausted_ = true;
         return false;
@@ -276,7 +274,6 @@ class Search {
   const std::vector<const PlacementSet*>& candidates_;
   const FloorplanOptions& options_;
   ResourceVec capacity_;
-  Deadline deadline_;
   const simd::KernelTable& kernels_;
   std::vector<std::size_t> order_;
   std::vector<Rect> chosen_;

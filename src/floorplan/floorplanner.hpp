@@ -7,9 +7,10 @@
 // a pure feasibility query. We answer the same query with a complete
 // backtracking search over the enumerated minimal feasible placements:
 // regions are ordered fewest-candidates-first (MRV) and the search prunes on
-// per-kind remaining capacity. A node/time budget bounds the worst case, in
+// per-kind remaining capacity. A node budget bounds the worst case, in
 // which case the result is reported as "not found" (matching how a
-// time-limited MILP behaves).
+// time-limited MILP behaves). The budget counts DFS nodes, not seconds, so
+// a verdict never depends on how fast the host is.
 //
 // Canonicalization contract: FindFloorplan internally reorders the regions
 // into the canonical order of CanonicalRegionOrder() before searching and
@@ -27,8 +28,6 @@
 namespace resched {
 
 struct FloorplanOptions {
-  /// Wall-clock budget for one feasibility query; <= 0 disables.
-  double time_budget_seconds = 1.0;
   /// Backtracking node budget; 0 disables.
   std::size_t max_nodes = 2'000'000;
   /// Cap on enumerated placements per region (0 = unlimited).
@@ -37,7 +36,7 @@ struct FloorplanOptions {
 
 struct FloorplanResult {
   bool feasible = false;
-  /// True when the search exhausted its node/time budget before proving
+  /// True when the search exhausted its node budget before proving
   /// either feasibility or infeasibility.
   bool budget_exhausted = false;
   /// One rectangle per region (same order as the query) when feasible.

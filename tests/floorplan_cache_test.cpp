@@ -144,7 +144,6 @@ TEST(FloorplanCacheTest, PermutedQueryIsAHit) {
                                    ResourceVec({400, 0, 20})};
   const std::vector<ResourceVec> b{a[2], a[0], a[1]};
   FloorplanOptions options;
-  options.time_budget_seconds = 0.0;
 
   const auto ra = cache.Query(a, options);
   const auto rb = cache.Query(b, options);
@@ -173,7 +172,6 @@ TEST(FloorplanCacheTest, MatchesUncachedAnswers) {
   const FpgaDevice device = MakeXc7z020();
   FloorplanCache cache(device);
   FloorplanOptions options;
-  options.time_budget_seconds = 0.0;
   const std::vector<std::vector<ResourceVec>> queries{
       {},                                                  // trivially yes
       {ResourceVec({60000, 0, 0})},                        // aggregate no
@@ -208,7 +206,6 @@ TEST(FloorplanCacheTest, BudgetExhaustedIsNeverProvenInfeasible) {
   const std::vector<ResourceVec> regions(12, ResourceVec({1000, 10, 14}));
 
   FloorplanOptions unlimited;
-  unlimited.time_budget_seconds = 0.0;
   unlimited.max_nodes = 0;
   unlimited.max_placements_per_region = 12;
   const auto truth = FindFloorplan(device, regions, unlimited);
@@ -279,7 +276,6 @@ TEST(FloorplanCacheTest, SchedulePaCacheOnOffBitIdentical) {
   const Instance inst = GenerateInstance(MakeZedBoard(), gen, 23, "cache-eq");
   PaOptions with;
   with.floorplan_cache = true;
-  with.floorplan.time_budget_seconds = 0.0;
   PaOptions without = with;
   without.floorplan_cache = false;
 

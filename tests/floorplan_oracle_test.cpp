@@ -279,7 +279,6 @@ void ExpectMatchesOracle(const Fabric& fabric,
                                  want.nodes_explored > 0;
     }
     FloorplanOptions options;
-    options.time_budget_seconds = 0.0;
     options.max_nodes = budget;
     for (const simd::Backend backend : ReachableBackends()) {
       SCOPED_TRACE(simd::BackendName(backend));

@@ -264,7 +264,6 @@ TEST_P(FloorplanOracleSweep, MatchesBruteForce) {
 
   FloorplanOptions options;
   options.max_nodes = 0;
-  options.time_budget_seconds = 0.0;  // exhaustive
   const FloorplanResult got = FindFloorplan(device, regions, options);
   ASSERT_FALSE(got.budget_exhausted);
   const bool expected = BruteForceFeasible(device, regions);
