@@ -112,11 +112,11 @@ const ResourceModel::KindInfo& ResourceModel::Kind(std::size_t i) const {
   return kinds_[i];
 }
 
-ResourceKind ResourceModel::KindIndex(const std::string& name) const {
+ResourceKind ResourceModel::KindIndex(std::string_view name) const {
   for (std::size_t i = 0; i < kinds_.size(); ++i) {
     if (kinds_[i].name == name) return i;
   }
-  throw InstanceError("unknown resource kind: " + name);
+  throw InstanceError("unknown resource kind: " + std::string(name));
 }
 
 bool ResourceModel::HasKind(const std::string& name) const {

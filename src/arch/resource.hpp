@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/common.hpp"
@@ -99,7 +100,7 @@ class ResourceModel {
   std::size_t NumKinds() const { return kinds_.size(); }
   const KindInfo& Kind(std::size_t i) const;
   /// Index lookup by name; throws InstanceError when unknown.
-  ResourceKind KindIndex(const std::string& name) const;
+  ResourceKind KindIndex(std::string_view name) const;
   bool HasKind(const std::string& name) const;
 
   ResourceVec ZeroVec() const { return ResourceVec(NumKinds()); }

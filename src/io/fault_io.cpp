@@ -7,7 +7,7 @@ namespace resched {
 
 namespace {
 
-sim::FaultKind KindFromName(const std::string& name) {
+sim::FaultKind KindFromName(std::string_view name) {
   using sim::FaultKind;
   for (const FaultKind kind :
        {FaultKind::kReconfFailure, FaultKind::kTransientRegionFault,
@@ -15,7 +15,7 @@ sim::FaultKind KindFromName(const std::string& name) {
         FaultKind::kTaskOverrun}) {
     if (name == sim::ToString(kind)) return kind;
   }
-  throw InstanceError("unknown fault kind: " + name);
+  throw InstanceError("unknown fault kind: " + std::string(name));
 }
 
 }  // namespace

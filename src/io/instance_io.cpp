@@ -13,7 +13,8 @@ FpgaDevice DeviceFromJson(const JsonValue& json) {
   std::vector<ResourceModel::KindInfo> kinds;
   for (const JsonValue& k : json.At("resource_kinds").AsArray()) {
     kinds.push_back(ResourceModel::KindInfo{
-        k.At("name").AsString(), k.At("bits_per_unit").AsDouble()});
+        std::string(k.At("name").AsString()),
+        k.At("bits_per_unit").AsDouble()});
   }
   ResourceModel model(std::move(kinds));
 
@@ -32,13 +33,13 @@ FpgaDevice DeviceFromJson(const JsonValue& json) {
 Implementation ImplFromJson(const JsonValue& json, const ResourceModel& model) {
   Implementation impl;
   impl.name = json.GetString("name", "impl");
-  const std::string kind = json.At("kind").AsString();
+  const std::string_view kind = json.At("kind").AsString();
   if (kind == "hw") {
     impl.kind = ImplKind::kHardware;
   } else if (kind == "sw") {
     impl.kind = ImplKind::kSoftware;
   } else {
-    throw InstanceError("unknown implementation kind: " + kind);
+    throw InstanceError("unknown implementation kind: " + std::string(kind));
   }
   impl.exec_time = json.At("time").AsInt();
   if (impl.IsHardware()) {
@@ -206,7 +207,8 @@ JsonValue InstanceToJson(const Instance& instance) {
 }
 
 Instance InstanceFromJson(const JsonValue& json) {
-  if (json.GetString("format", "") != "resched-instance") {
+  const JsonValue* format = json.Find("format");
+  if (format == nullptr || format->AsString() != "resched-instance") {
     throw InstanceError("not a resched-instance document");
   }
   if (json.GetInt("version", 0) != 1) {

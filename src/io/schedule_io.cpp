@@ -121,13 +121,13 @@ Schedule ScheduleFromJson(const Instance& instance, const JsonValue& json) {
     TaskSlot slot;
     slot.task = static_cast<TaskId>(tj.At("task").AsInt());
     slot.impl_index = static_cast<std::size_t>(tj.At("impl").AsInt());
-    const std::string target = tj.At("target").AsString();
+    const std::string_view target = tj.At("target").AsString();
     if (target == "region") {
       slot.target = TargetKind::kRegion;
     } else if (target == "cpu") {
       slot.target = TargetKind::kProcessor;
     } else {
-      throw InstanceError("unknown schedule target: " + target);
+      throw InstanceError("unknown schedule target: " + std::string(target));
     }
     slot.target_index = static_cast<std::size_t>(tj.At("index").AsInt());
     slot.start = tj.At("start").AsInt();

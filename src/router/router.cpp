@@ -118,20 +118,17 @@ bool RescheddRouter::HandleLine(const std::string& line,
   // the shard key. Everything else — including malformed-but-parsable
   // requests — is validated by the owning backend, so error bodies stay
   // byte-identical to a single-daemon deployment.
-  std::string verb;
-  std::string id;
+  const auto string_member = [&doc](std::string_view key) {
+    const JsonValue* v = doc.Find(key);
+    return v != nullptr && v->IsString() ? v->AsString() : std::string_view();
+  };
+  // Copies: adding an id below rewrites the document.
+  const std::string verb(string_member("verb"));
+  std::string id(string_member("id"));
   std::string tenant = service::kDefaultTenant;
-  if (doc.IsObject()) {
-    if (doc.Contains("verb") && doc.At("verb").IsString()) {
-      verb = doc.At("verb").AsString();
-    }
-    if (doc.Contains("id") && doc.At("id").IsString()) {
-      id = doc.At("id").AsString();
-    }
-    if (doc.Contains("tenant") && doc.At("tenant").IsString() &&
-        service::ValidTenantName(doc.At("tenant").AsString())) {
-      tenant = doc.At("tenant").AsString();
-    }
+  if (const std::string_view t = string_member("tenant");
+      service::ValidTenantName(t)) {
+    tenant = t;
   }
 
   if (verb == "shutdown") {
@@ -164,8 +161,8 @@ bool RescheddRouter::HandleLine(const std::string& line,
   // shard on the canonical instance text when present (same instance →
   // same backend → warm cache), else on the raw line.
   std::uint64_t point = 0;
-  if (doc.IsObject() && doc.Contains("instance")) {
-    const Digest128 d = HashCanonicalText(doc.At("instance").Dump(-1));
+  if (const JsonValue* instance = doc.Find("instance")) {
+    const Digest128 d = HashCanonicalText(instance->Dump(-1));
     point = d.hi ^ d.lo;
   } else {
     const Digest128 d = HashCanonicalText(forwarded);
@@ -279,12 +276,12 @@ void RescheddRouter::ForwarderLoop(std::size_t index) {
       bool reached = false;
       bool cancelled = false;
       try {
-        const RescheddClient::Result result = client.Submit(item.line);
+        const RescheddClient::Result result =
+            client.Submit(item.line, item.id);
         reached = true;
         const JsonValue resp = JsonValue::Parse(result.response);
-        cancelled = resp.IsObject() && resp.Contains("cancelled") &&
-                    resp.At("cancelled").IsBool() &&
-                    resp.At("cancelled").AsBool();
+        const JsonValue* flag = resp.Find("cancelled");
+        cancelled = flag != nullptr && flag->IsBool() && flag->AsBool();
       } catch (const SocketError&) {
         self.healthy.store(false, std::memory_order_relaxed);
         self.failed.fetch_add(1, std::memory_order_relaxed);
@@ -293,7 +290,7 @@ void RescheddRouter::ForwarderLoop(std::size_t index) {
       continue;
     }
     try {
-      const RescheddClient::Result result = client.Submit(item.line);
+      const RescheddClient::Result result = client.Submit(item.line, item.id);
       self.forwarded.fetch_add(1, std::memory_order_relaxed);
       WriteFront(result.response);
       continue;

@@ -78,6 +78,10 @@ class RescheddClient {
   /// at most once.
   Result Submit(const std::string& line);
 
+  /// As above for a caller that already knows the line's id (empty: the
+  /// line has none), so the line is not parsed again to find it.
+  Result Submit(const std::string& line, const std::string& id);
+
  private:
   /// One connect + send + match cycle; false when the connection died
   /// (caller backs off and retries).

@@ -51,7 +51,8 @@ class MonotonicArena {
     std::size_t size = slabs_.empty() ? initial_bytes_ : slabs_.back().size * 2;
     const std::size_t need = bytes + align;
     if (size < need) size = need;
-    slabs_.push_back(Slab{std::make_unique<std::byte[]>(size), size, 0});
+    slabs_.push_back(
+        Slab{std::make_unique_for_overwrite<std::byte[]>(size), size, 0});
     Slab& slab = slabs_.back();
     const std::size_t aligned = AlignedOffset(slab, align);
     slab.used = aligned + bytes;
@@ -84,7 +85,8 @@ class MonotonicArena {
     for (const Slab& s : slabs_) total += s.size;
     slabs_.clear();
     if (total != 0) {
-      slabs_.push_back(Slab{std::make_unique<std::byte[]>(total), total, 0});
+      slabs_.push_back(
+          Slab{std::make_unique_for_overwrite<std::byte[]>(total), total, 0});
     }
   }
 
