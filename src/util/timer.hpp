@@ -27,7 +27,8 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// Deadline helper for time-budgeted algorithms (PA-R, floorplanner).
+/// Deadline helper for time-budgeted algorithms (PA-R, local search,
+/// exact, ISK).
 class Deadline {
  public:
   /// A non-positive budget means "no deadline".

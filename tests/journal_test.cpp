@@ -218,5 +218,21 @@ TEST(StripResponseIdTest, LexicalStripPreservesBodyBytes) {
   EXPECT_FALSE(service::StripResponseId("not json", body));
 }
 
+TEST(StripResponseIdTest, ResponseIdReadsOnlyTheLeadingIdLiteral) {
+  EXPECT_EQ(service::ResponseId(R"({"id":"r1","ok":true,"verb":"stats"})"),
+            "r1");
+  // WithId's escaping is undone, so a hostile id round-trips.
+  const std::string hostile = "a\"b\\c";
+  EXPECT_EQ(service::ResponseId(service::WithId(
+                hostile, service::OkBody(JsonObject{}))),
+            hostile);
+  // Not WithId-shaped, or no string id: empty, which never matches.
+  EXPECT_EQ(service::ResponseId(R"({"id":null,"ok":false})"), "");
+  EXPECT_EQ(service::ResponseId(R"({"ok":true,"id":"r1"})"), "");
+  EXPECT_EQ(service::ResponseId(R"({"reschedd":{},"protocol":1})"), "");
+  EXPECT_EQ(service::ResponseId(R"({"id":"unterminated)"), "");
+  EXPECT_EQ(service::ResponseId("not json"), "");
+}
+
 }  // namespace
 }  // namespace resched
