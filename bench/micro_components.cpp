@@ -209,8 +209,10 @@ std::vector<ResourceVec> CorpusRequirements(
 
 /// The DFS alone: every corpus query solved over prebuilt catalogs, as a
 /// FloorplanCache miss does. One iteration is one pass over the corpus;
-/// items are DFS nodes, so items_per_second is the nodes/s the perf smoke
-/// gates (`floorplan:corpus`).
+/// items are counted DFS nodes (nodes_explored, the memo's replayed
+/// nodes included), so items_per_second is the nodes/s the perf smoke
+/// gates (`floorplan:corpus`). `replayed` is the part of `nodes` credited
+/// from the failed-subtree memo instead of walked.
 void BM_FloorplanCorpusSolve(benchmark::State& state) {
   const FpgaDevice device = MakeXc7z020();
   const Fabric fabric(device);
@@ -228,10 +230,11 @@ void BM_FloorplanCorpusSolve(benchmark::State& state) {
     }
   }
   std::size_t nodes = 0;
+  std::size_t replayed = 0;
   std::size_t feasible = 0;
   std::size_t exhausted = 0;
   for (auto _ : state) {
-    nodes = feasible = exhausted = 0;
+    nodes = replayed = feasible = exhausted = 0;
     for (std::size_t q = 0; q < corpus.size(); ++q) {
       const FloorplanResult r =
           SolveFloorplanFeasibility(fabric, candidates[q], options);
@@ -245,12 +248,14 @@ void BM_FloorplanCorpusSolve(benchmark::State& state) {
         return;
       }
       nodes += r.nodes_explored;
+      replayed += r.nodes_replayed;
       feasible += r.feasible ? 1 : 0;
       exhausted += r.budget_exhausted ? 1 : 0;
     }
   }
   state.counters["queries"] = static_cast<double>(corpus.size());
   state.counters["nodes"] = static_cast<double>(nodes);
+  state.counters["replayed"] = static_cast<double>(replayed);
   state.counters["feasible"] = static_cast<double>(feasible);
   state.counters["exhausted"] = static_cast<double>(exhausted);
   state.SetItemsProcessed(state.iterations() *
@@ -479,13 +484,14 @@ class FloorplanLedger : public benchmark::BenchmarkReporter {
     for (const auto& [name, row] : rows_) {
       out.push_back({name.substr(name.rfind('_') + 1), "current", simd_name,
                      count(row, "queries"), count(row, "nodes"),
-                     count(row, "feasible"), count(row, "exhausted"),
+                     count(row, "replayed"), count(row, "feasible"), count(row, "exhausted"),
                      count(row, "requirements"), count(row, "placements"),
                      StrFormat("%.2f", median(row.pass_ms)),
                      StrFormat("%.0f", median(row.items_per_second))});
     }
     WriteCsv(config, "micro_floorplan",
-             {"case", "impl", "simd", "queries", "nodes", "feasible",
+             {"case", "impl", "simd", "queries", "nodes", "replayed",
+              "feasible",
               "exhausted", "requirements", "placements", "pass_ms",
               "items_per_sec"},
              out);

@@ -149,6 +149,7 @@ FloorplanResult FloorplanCache::Query(const std::vector<ResourceVec>& regions,
     verdict.feasible = solved.feasible;
     verdict.budget_exhausted = solved.budget_exhausted;
     verdict.nodes = solved.nodes_explored;
+    result.nodes_replayed = solved.nodes_replayed;
     if (solved.feasible) verdict.rects = std::move(solved.rects);
   }
   // else: proven infeasible with zero search (defaults already say so).

@@ -22,9 +22,13 @@ namespace {
 /// row0) -> narrowest width listed there, and each candidate probes only
 /// the origins and heights that fit inside it. For a fixed (height, col0,
 /// row0) every containment condition is monotone in the width, so the
-/// narrowest entry dominates iff any entry there does.
+/// narrowest entry dominates iff any entry there does. Where a (height,
+/// col0) run holds one narrowest width at every row offset — as each
+/// enumeration run does unless the placement cap cut it — one probe
+/// answers for every row offset inside the candidate.
 void PruneDominated(std::vector<Rect>& placements) {
   constexpr std::size_t kNone = SIZE_MAX;
+  constexpr std::size_t kMixed = SIZE_MAX - 1;
   std::size_t max_height = 0;
   std::size_t cols = 0;
   std::size_t rows = 0;
@@ -43,21 +47,43 @@ void PruneDominated(std::vector<Rect>& placements) {
     std::size_t& w = narrowest[slot(r.height, r.col0, r.row0)];
     w = std::min(w, r.width);
   }
+  // run_width[(height - 1) * cols + col0]: the narrowest width shared by
+  // every row offset a rectangle of that height can take, or kMixed.
+  std::vector<std::size_t> run_width(max_height * cols);
+  for (std::size_t h = 1; h <= max_height; ++h) {
+    for (std::size_t col0 = 0; col0 < cols; ++col0) {
+      const std::size_t first = narrowest[slot(h, col0, 0)];
+      std::size_t run = first;
+      for (std::size_t row0 = 1; row0 + h <= rows; ++row0) {
+        if (narrowest[slot(h, col0, row0)] != first) {
+          run = kMixed;
+          break;
+        }
+      }
+      run_width[(h - 1) * cols + col0] = run;
+    }
+  }
   std::vector<Rect> kept;
   kept.reserve(placements.size());
   for (const Rect& cand : placements) {
     const std::size_t col_end = cand.col0 + cand.width;
     const std::size_t row_end = cand.row0 + cand.height;
+    const auto dominates = [&](std::size_t h, std::size_t col0,
+                               std::size_t w) {
+      return w != kNone && col0 + w <= col_end && h * w < cand.Area();
+    };
     bool dominated = false;
     for (std::size_t h = 1; h <= cand.height && !dominated; ++h) {
-      for (std::size_t row0 = cand.row0; row0 + h <= row_end && !dominated;
-           ++row0) {
-        for (std::size_t col0 = cand.col0; col0 < col_end; ++col0) {
-          const std::size_t w = narrowest[slot(h, col0, row0)];
-          if (w != kNone && col0 + w <= col_end && h * w < cand.Area()) {
-            dominated = true;
-            break;
-          }
+      for (std::size_t col0 = cand.col0; col0 < col_end && !dominated;
+           ++col0) {
+        const std::size_t run = run_width[(h - 1) * cols + col0];
+        if (run != kMixed) {
+          dominated = dominates(h, col0, run);
+          continue;
+        }
+        for (std::size_t row0 = cand.row0; row0 + h <= row_end && !dominated;
+             ++row0) {
+          dominated = dominates(h, col0, narrowest[slot(h, col0, row0)]);
         }
       }
     }
@@ -68,6 +94,12 @@ void PruneDominated(std::vector<Rect>& placements) {
 
 /// Budget checks run when the node count reaches a multiple of this.
 constexpr std::size_t kBudgetCheckNodes = 1024;
+
+/// Slots of the failed-subtree memo (a power of two), and the node count a
+/// query reaches before its memo is allocated: queries that finish sooner
+/// never pay for the table.
+constexpr std::size_t kMemoSlots = std::size_t{1} << 14;
+constexpr std::size_t kMemoActivationNodes = 16384;
 
 class Search {
  public:
@@ -97,7 +129,7 @@ class Search {
 
   /// Runs the DFS; fills `solution` (indexed like candidates_) on success.
   bool Run(std::vector<Rect>& solution, bool& budget_exhausted,
-           std::size_t& nodes) {
+           std::size_t& nodes, std::size_t& replayed) {
     order_.resize(candidates_.size());
     std::iota(order_.begin(), order_.end(), std::size_t{0});
     // MRV: most constrained region (fewest placements) first. Stable, so
@@ -118,7 +150,7 @@ class Search {
     }
     if (suffix_min_area_[0] > total_cells_) {
       budget_exhausted = false;  // proven infeasible, not a budget stop
-      nodes = 0;
+      nodes = replayed = 0;
       return false;
     }
 
@@ -139,11 +171,29 @@ class Search {
     for (std::size_t k = 0; k < kinds_; ++k) {
       if (suffix_min_res_[k] > capacity_[k]) {
         budget_exhausted = false;  // proven infeasible at the root
-        nodes = 0;
+        nodes = replayed = 0;
         return false;
       }
     }
     consumed_stack_.assign((order_.size() + 1) * kinds_, 0);
+
+    // Barren-prune gate: slack_[d] is the least, over levels >= d, of
+    // |union_mask| - min_area. A level's union keeps at least
+    // |union| - |occupied| free cells, so while the occupied cells stay
+    // within slack_[d] no level from d on can be barren.
+    slack_.assign(order_.size() + 1, INT64_MAX);
+    for (std::size_t d = order_.size(); d-- > 0;) {
+      const PlacementSet& set = *candidates_[order_[d]];
+      std::int64_t union_cells = 0;
+      for (const std::uint64_t word : set.union_mask) {
+        union_cells += std::popcount(word);
+      }
+      slack_[d] = std::min(
+          slack_[d + 1],
+          union_cells - static_cast<std::int64_t>(set.min_area));
+    }
+    memo_.clear();
+    memo_stride_ = 2 + mask_words_;
 
     chosen_.assign(candidates_.size(), Rect{});
     // Occupancy image per depth: row d holds the union of the masks of
@@ -164,6 +214,7 @@ class Search {
     const bool ok = Dfs(0, /*used_cells=*/0);
     budget_exhausted = budget_exhausted_;
     nodes = nodes_;
+    replayed = replayed_;
     if (ok) solution = chosen_;
     return ok;
   }
@@ -203,13 +254,50 @@ class Search {
     return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
   }
 
+  /// Failed-subtree memo. The subtree below a depth-d node is a function
+  /// of d and the occupancy mask alone: the used cells are the mask's
+  /// popcount and the per-kind consumption is the sum of the per-cell
+  /// units of its cells (footprints add up over disjoint rectangles).
+  /// So a subtree that failed once without reaching the budget fails
+  /// again after the same number of counted nodes. A slot holds depth + 1
+  /// (0 = empty), that node count and the mask; a probe compares depth
+  /// and mask exactly, so it never returns another subtree's count.
+  std::uint64_t* MemoSlot(std::size_t depth, const std::uint64_t* used) {
+    std::uint64_t h = (depth + 1) * 0x9E3779B97F4A7C15ULL;
+    for (std::size_t w = 0; w < mask_words_; ++w) {
+      h = (h ^ used[w]) * 0xBF58476D1CE4E5B9ULL;
+    }
+    const std::size_t slot = static_cast<std::size_t>(h >> 32) % kMemoSlots;
+    return memo_.data() + slot * memo_stride_;
+  }
+
+  static bool MemoHolds(const std::uint64_t* slot, std::size_t depth,
+                        const std::uint64_t* used, std::size_t words) {
+    return slot[0] == depth + 1 && std::equal(used, used + words, slot + 2);
+  }
+
   bool Dfs(std::size_t depth, std::size_t used_cells) {
     if (depth == order_.size()) return true;
     if (budget_exhausted_) return false;
+    const std::uint64_t* used = used_stack_.data() + depth * mask_words_;
+    if (memo_.empty() && nodes_ >= kMemoActivationNodes) {
+      memo_.assign(kMemoSlots * memo_stride_, 0);
+    }
+    if (depth > 0 && !memo_.empty()) {
+      const std::uint64_t* slot = MemoSlot(depth, used);
+      if (MemoHolds(slot, depth, used, mask_words_)) {
+        // Crediting the count in one batch stops at the same budget
+        // check as walking the subtree would.
+        const std::size_t before = nodes_;
+        CountNodes(static_cast<std::size_t>(slot[1]));
+        replayed_ += nodes_ - before;
+        return false;
+      }
+    }
+    const std::size_t entry_nodes = nodes_;
     const std::size_t region = order_[depth];
     const PlacementSet& set = *candidates_[region];
     const std::size_t n = set.rects.size();
-    const std::uint64_t* used = used_stack_.data() + depth * mask_words_;
     std::uint64_t* next = used_stack_.data() + (depth + 1) * mask_words_;
     const std::int64_t* consumed = consumed_stack_.data() + depth * kinds_;
     const std::int64_t* suffix = suffix_min_res_.data() + (depth + 1) * kinds_;
@@ -245,8 +333,15 @@ class Search {
       // retains fewer free cells than its minimum footprint has no live
       // candidate left — this subtree is barren, skip it. (Sound and
       // order-preserving: only subtrees with no full assignment are cut.)
+      // Only worth scanning once the occupied cells exceed the slack of
+      // the levels below.
+      const std::size_t next_cells =
+          used_cells + static_cast<std::size_t>(set.Area(k));
       bool barren = false;
-      for (std::size_t d2 = depth + 1; d2 < order_.size() && !barren; ++d2) {
+      for (std::size_t d2 = depth + 1;
+           static_cast<std::int64_t>(next_cells) > slack_[depth + 1] &&
+           d2 < order_.size() && !barren;
+           ++d2) {
         const PlacementSet& rest = *candidates_[order_[d2]];
         std::size_t free_cells = 0;
         for (std::size_t w = 0; w < mask_words_; ++w) {
@@ -262,12 +357,15 @@ class Search {
       for (std::size_t kk = 0; kk < kinds_; ++kk) {
         next_consumed[kk] = consumed[kk] + set.Footprint(kk, k);
       }
-      if (Dfs(depth + 1, used_cells + static_cast<std::size_t>(set.Area(k)))) {
-        return true;
-      }
+      if (Dfs(depth + 1, next_cells)) return true;
       if (budget_exhausted_) return false;
     }
-    CountNodes(n - counted);
+    if (CountNodes(n - counted) && depth > 0 && !memo_.empty()) {
+      std::uint64_t* slot = MemoSlot(depth, used);
+      slot[0] = depth + 1;
+      slot[1] = nodes_ - entry_nodes;
+      std::copy(used, used + mask_words_, slot + 2);
+    }
     return false;
   }
 
@@ -284,10 +382,16 @@ class Search {
   std::vector<std::size_t> pass_offset_;
   std::vector<std::uint64_t> pass_stack_;
   std::vector<std::int64_t> limits_;
+  std::vector<std::int64_t> slack_;
+  /// kMemoSlots slots of memo_stride_ words; empty until the query has
+  /// counted kMemoActivationNodes nodes.
+  std::vector<std::uint64_t> memo_;
+  std::size_t memo_stride_ = 0;
   std::size_t total_cells_ = 0;
   std::size_t mask_words_ = 0;
   std::size_t kinds_ = 0;
   std::size_t nodes_ = 0;
+  std::size_t replayed_ = 0;
   bool budget_exhausted_ = false;
 };
 
@@ -366,8 +470,8 @@ FloorplanResult SolveFloorplanFeasibility(
   FloorplanResult result;
   Search search(fabric, candidates, options);
   std::vector<Rect> solution;
-  const bool ok =
-      search.Run(solution, result.budget_exhausted, result.nodes_explored);
+  const bool ok = search.Run(solution, result.budget_exhausted,
+                             result.nodes_explored, result.nodes_replayed);
   result.feasible = ok;
   if (ok) result.rects = std::move(solution);
   return result;
@@ -419,6 +523,7 @@ FloorplanResult FindFloorplan(const FpgaDevice& device,
   result.feasible = canonical.feasible;
   result.budget_exhausted = canonical.budget_exhausted;
   result.nodes_explored = canonical.nodes_explored;
+  result.nodes_replayed = canonical.nodes_replayed;
   if (canonical.feasible) {
     result.rects.resize(regions.size());
     for (std::size_t k = 0; k < order.size(); ++k) {

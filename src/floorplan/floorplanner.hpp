@@ -42,6 +42,9 @@ struct FloorplanResult {
   /// One rectangle per region (same order as the query) when feasible.
   std::vector<Rect> rects;
   std::size_t nodes_explored = 0;
+  /// Part of nodes_explored credited from the failed-subtree memo instead
+  /// of walked (0 on a FloorplanCache hit).
+  std::size_t nodes_replayed = 0;
   double seconds = 0.0;
 };
 
@@ -151,8 +154,29 @@ PlacementSet EnumeratePrunedPlacementSet(const Fabric& fabric,
 /// built by BuildPlacementSet on `fabric` — checked once per call, a
 /// violation throws InternalError). `result.rects` is indexed like
 /// `candidates`. Deterministic: depends only on the candidate lists, their
-/// order and the budget options — not on wall-clock time unless the time
-/// budget fires. Each region's candidates are visited in list order.
+/// order and the node budget. Each region's candidates are visited in list
+/// order.
+///
+/// Two shortcuts leave every output (feasible, budget_exhausted,
+/// nodes_explored, rects) exactly as a full walk would produce it:
+///   * Failed-subtree memo. The subtree below a node at depth d depends
+///     only on d and the occupancy mask: the used cells are the mask's
+///     popcount and the per-kind consumption is the sum of the per-cell
+///     units of its cells, since footprints add up over disjoint
+///     rectangles. Once a query has counted 16,384 nodes it gets a
+///     direct-mapped table of 2^14 slots (one per query, never shared)
+///     keyed by (d, mask) and compared exactly. A subtree that failed
+///     without reaching the budget is stored with its node count; when
+///     the same (d, mask) comes up again the count is credited in one
+///     batch instead of walking it. Budget checks fire at every multiple
+///     of 1024 that a batch crosses, so the stop point matches the walk.
+///     The credited nodes are reported as nodes_replayed.
+///   * Barren-prune gate. The union-mask prune (a later region keeps
+///     fewer free cells in its candidates' union than its smallest
+///     rectangle needs) scans every later region. A region's union keeps
+///     at least |union| - |occupied| free cells, so the scan runs only when
+///     the occupied cells exceed min over later levels of
+///     |union| - min_area.
 FloorplanResult SolveFloorplanFeasibility(
     const Fabric& fabric,
     const std::vector<const PlacementSet*>& candidates,

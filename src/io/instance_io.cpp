@@ -18,14 +18,23 @@ FpgaDevice DeviceFromJson(const JsonValue& json) {
   }
   ResourceModel model(std::move(kinds));
 
+  // The geometry is checked here, where a bad document is an
+  // InstanceError, before FpgaDevice asserts the same invariants.
   const JsonValue& fabric = json.At("fabric");
   FabricGeometry geom;
-  geom.rows = static_cast<std::size_t>(fabric.At("rows").AsInt());
+  const std::int64_t rows = fabric.At("rows").AsInt();
+  if (rows <= 0) throw InstanceError("fabric rows must be positive");
+  geom.rows = static_cast<std::size_t>(rows);
   for (const JsonValue& c : fabric.At("columns").AsArray()) {
-    geom.columns.push_back(
-        ColumnSpec{model.KindIndex(c.At("kind").AsString()),
-                   c.At("units").AsInt()});
+    // KindIndex rejects a kind outside the resource model.
+    const ColumnSpec column{model.KindIndex(c.At("kind").AsString()),
+                            c.At("units").AsInt()};
+    if (column.units_per_cell <= 0) {
+      throw InstanceError("fabric column units must be positive");
+    }
+    geom.columns.push_back(column);
   }
+  if (geom.columns.empty()) throw InstanceError("fabric has no columns");
   return FpgaDevice(json.GetString("name", "device"), std::move(model),
                     std::move(geom));
 }

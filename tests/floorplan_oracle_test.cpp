@@ -10,7 +10,10 @@
 //     budget_exhausted, nodes_explored and rects for seeded region sets on
 //     four preset fabrics and for the corpus queries that proved
 //     infeasibility by search, across node budgets around the check
-//     interval and every reachable SIMD backend.
+//     interval and every reachable SIMD backend; and on every corpus
+//     query at its recorded budget and two smaller ones, where the long
+//     searches run through the library's failed-subtree memo and barren
+//     gate (neither of which the oracle has).
 //   * OraclePrune is the all-pairs dominance prune. EnumeratePrunedPlacements
 //     must return exactly its output on six preset fabrics at placement
 //     caps on both sides of the per-height run lengths.
@@ -348,37 +351,118 @@ TEST(FloorplanOracleTest, BatchedDfsMatchesPerCandidateDfs) {
   EXPECT_GT(mix.exhausted, 0u);
 }
 
-// Seeded sets almost never prove infeasibility below the root (5 of the
-// engine suite's 33,141 distinct queries did), so those paths are driven
-// by the corpus queries that did, on their XC7Z020 fabric.
-TEST(FloorplanOracleTest, SearchedInfeasibleCorpusQueriesMatch) {
-  const Fabric fabric(MakeXc7z020());
+/// One line of data/floorplan_corpus.txt: the verdict the library
+/// recorded for a query on the XC7Z020 fabric at its 2,000,000-node budget.
+struct CorpusQuery {
+  std::string label;
+  std::string outcome;
+  std::size_t nodes = 0;
+  std::vector<ResourceVec> reqs;
+};
+
+std::vector<CorpusQuery> LoadCorpus() {
   std::ifstream in(std::string(RESCHED_TEST_DATA_DIR) +
                    "/floorplan_corpus.txt");
-  ASSERT_TRUE(in) << "missing data/floorplan_corpus.txt";
-  VerdictMix mix;
+  std::vector<CorpusQuery> corpus;
   std::string line;
   while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
     std::istringstream fields(line);
-    std::string outcome;
-    std::size_t nodes = 0;
+    CorpusQuery query;
+    query.label = line.substr(0, 40);
     std::string bar;
-    if (!(fields >> outcome >> nodes >> bar) || outcome != "infeasible" ||
-        nodes == 0) {
-      continue;
-    }
-    std::vector<ResourceVec> reqs;
+    fields >> query.outcome >> query.nodes >> bar;
     std::int64_t clb = 0;
     std::int64_t bram = 0;
     std::int64_t dsp = 0;
     char comma = 0;
     while (fields >> clb >> comma >> bram >> comma >> dsp) {
-      reqs.push_back(ResourceVec({clb, bram, dsp}));
+      query.reqs.push_back(ResourceVec({clb, bram, dsp}));
     }
-    ExpectMatchesOracle(fabric, reqs, line.substr(0, 40), mix);
+    corpus.push_back(std::move(query));
+  }
+  return corpus;
+}
+
+// Seeded sets almost never prove infeasibility below the root (5 of the
+// engine suite's 33,141 distinct queries did), so those paths are driven
+// by the corpus queries that did, on their XC7Z020 fabric.
+TEST(FloorplanOracleTest, SearchedInfeasibleCorpusQueriesMatch) {
+  const Fabric fabric(MakeXc7z020());
+  const std::vector<CorpusQuery> corpus = LoadCorpus();
+  ASSERT_FALSE(corpus.empty()) << "missing data/floorplan_corpus.txt";
+  VerdictMix mix;
+  for (const CorpusQuery& query : corpus) {
+    if (query.outcome != "infeasible" || query.nodes == 0) continue;
+    ExpectMatchesOracle(fabric, query.reqs, query.label, mix);
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(mix.searched_infeasible, 0u);
+}
+
+// Every corpus query against the oracle, at the recorded budget and at two
+// smaller ones that stop inside the exhausted searches. The long searches
+// are where the failed-subtree memo credits nodes instead of walking them:
+// each search the recorded budget exhausts must have replayed some, and so
+// must the smaller budgets' searches taken together (the smallest stops
+// some searches before any subtree has failed twice).
+TEST(FloorplanOracleTest, CorpusQueriesMatchAtRecordedAndSmallerBudgets) {
+  const Fabric fabric(MakeXc7z020());
+  const std::vector<CorpusQuery> corpus = LoadCorpus();
+  ASSERT_EQ(corpus.size(), 64u) << "missing data/floorplan_corpus.txt";
+  const std::size_t kBudgets[] = {2'000'000, 300'001, 65'000};
+  std::size_t exhausted = 0;
+  std::size_t replayed_below = 0;
+  for (const CorpusQuery& query : corpus) {
+    std::vector<PlacementSet> sets;
+    std::vector<OracleRegion> oracle_regions;
+    for (const ResourceVec& req : query.reqs) {
+      std::vector<Rect> rects = EnumeratePrunedPlacements(fabric, req, 4096);
+      if (rects.empty()) break;
+      oracle_regions.push_back(MakeOracleRegion(fabric, rects));
+      sets.push_back(BuildPlacementSet(fabric, std::move(rects)));
+    }
+    // A region with no placement is a "no" before any search.
+    if (sets.size() < query.reqs.size()) {
+      EXPECT_EQ(query.outcome, "infeasible") << query.label;
+      EXPECT_EQ(query.nodes, 0u) << query.label;
+      continue;
+    }
+    std::vector<const PlacementSet*> candidates;
+    for (const PlacementSet& set : sets) candidates.push_back(&set);
+    for (const std::size_t budget : kBudgets) {
+      SCOPED_TRACE(query.label + " budget " + std::to_string(budget));
+      const FloorplanResult want =
+          OracleSearch(fabric, oracle_regions, budget).Run();
+      if (budget == kBudgets[0]) {
+        const char* outcome = want.budget_exhausted ? "exhausted"
+                              : want.feasible       ? "feasible"
+                                                    : "infeasible";
+        ASSERT_EQ(outcome, query.outcome);
+        ASSERT_EQ(want.nodes_explored, query.nodes);
+      }
+      FloorplanOptions options;
+      options.max_nodes = budget;
+      for (const simd::Backend backend : ReachableBackends()) {
+        SCOPED_TRACE(simd::BackendName(backend));
+        ScopedBackend guard(backend);
+        const FloorplanResult got =
+            SolveFloorplanFeasibility(fabric, candidates, options);
+        ASSERT_EQ(got.feasible, want.feasible);
+        ASSERT_EQ(got.budget_exhausted, want.budget_exhausted);
+        ASSERT_EQ(got.nodes_explored, want.nodes_explored);
+        ASSERT_TRUE(SameRects(got.rects, want.rects));
+        ASSERT_LE(got.nodes_replayed, got.nodes_explored);
+        if (got.budget_exhausted && budget == kBudgets[0]) {
+          EXPECT_GT(got.nodes_replayed, 0u);
+          ++exhausted;
+        }
+        replayed_below += budget == kBudgets[0] ? 0 : got.nodes_replayed;
+      }
+    }
+  }
+  EXPECT_EQ(exhausted, 16 * ReachableBackends().size());
+  EXPECT_GT(replayed_below, 0u);
 }
 
 TEST(FloorplanOracleTest, ColumnsDescribeTheirRectangles) {

@@ -10,6 +10,9 @@
 // of it — must match the golden file data/json_fuzz_golden.txt, recorded
 // with the std::map-backed DOM this parser replaced. A changed message,
 // error position, duplicate-key policy or serialized byte fails the test.
+// One line was changed on purpose since: small/flip23's request outcome,
+// a fabric column of zero units, went from an internal check failure to a
+// bad_request when instance parsing started validating the fabric.
 //
 // Regenerating the golden file (only when an outcome change is intended):
 //   RESCHED_JSON_FUZZ_WRITE=data/json_fuzz_golden.txt ./json_fuzz_test

@@ -52,6 +52,22 @@ grep '"id":"job1"' "$TMP/out.jsonl" | sed 's/"id":"job1"//' > "$TMP/job1.body"
 grep '"id":"job2"' "$TMP/out.jsonl" | sed 's/"id":"job2"//' > "$TMP/job2.body"
 cmp "$TMP/job1.body" "$TMP/job2.body" || fail "cache hit is not bit-identical"
 
+# --- a hostile fabric does not take the daemon down ---------------------------
+# A column with no resources is a bad request; the stats line after it must
+# still be answered and the daemon must exit cleanly at end of input.
+{
+  "$CLI" submit --print --instance "$TMP/i.json" --id zero \
+      | sed 's/"units":[0-9]*/"units":0/'
+  echo '{"verb":"stats","id":"after"}'
+} > "$TMP/hostile.jsonl"
+grep -q '"units":0' "$TMP/hostile.jsonl" || fail "hostile line not built"
+"$CLI" serve --stdio --workers 1 < "$TMP/hostile.jsonl" \
+    > "$TMP/hostile.out" 2> "$TMP/hostile.err" \
+    || fail "serve --stdio died on a units:0 fabric"
+grep '"id":"zero"' "$TMP/hostile.out" | grep -q '"bad_request"' \
+    || fail "units:0 fabric not answered with bad_request"
+grep -q '"id":"after"' "$TMP/hostile.out" || fail "stats after units:0 unanswered"
+
 # --- journal replay -----------------------------------------------------------
 [ -s "$TMP/journal.jsonl" ] || fail "journal not written"
 out=$("$CLI" replay --journal "$TMP/journal.jsonl") \

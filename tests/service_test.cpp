@@ -200,6 +200,45 @@ TEST(ProtocolTest, HostileLinesAreRejectedNotCrashed) {
   EXPECT_THROW((void)service::ParseRequest(big), service::ProtocolError);
 }
 
+// A fabric the device model would refuse is a bad request, not an internal
+// check failure that takes the daemon down.
+TEST(ProtocolTest, InvalidFabricGeometryIsABadRequest) {
+  const std::string line = MakeRequest("schedule", ServiceInstance());
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string mutated = line;
+    const std::size_t at = mutated.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return mutated.replace(at, from.size(), to);
+  };
+  const std::size_t units = line.find("\"units\":");
+  ASSERT_NE(units, std::string::npos);
+  const std::string first_units =
+      line.substr(units, line.find_first_of(",}", units) - units);
+  const std::size_t columns = line.find("\"columns\":[");
+  ASSERT_NE(columns, std::string::npos);
+  const std::string column_list =
+      line.substr(columns, line.find(']', columns) + 1 - columns);
+  const std::size_t rows = line.find("\"rows\":");
+  ASSERT_NE(rows, std::string::npos);
+  const std::string row_count =
+      line.substr(rows, line.find_first_of(",}", rows) - rows);
+  const std::string cases[] = {
+      with(first_units, "\"units\":0"),
+      with(first_units, "\"units\":-5"),
+      with(row_count, "\"rows\":0"),
+      with(row_count, "\"rows\":-1"),
+      with(column_list, "\"columns\":[]"),
+  };
+  for (const std::string& bad : cases) {
+    try {
+      (void)service::ParseRequest(bad);
+      FAIL() << "accepted: " << bad;
+    } catch (const service::ProtocolError& e) {
+      EXPECT_EQ(e.code(), service::kErrBadRequest) << e.what();
+    }
+  }
+}
+
 TEST(ProtocolTest, KeyTextIgnoresIdAndDeadline) {
   const Instance instance = ServiceInstance();
   JsonObject extra_a;
