@@ -21,7 +21,8 @@
 //     budget — a larger budget might find an answer, so it re-solves and
 //     overwrites the entry.
 // On a hit `rects`, `feasible`, `budget_exhausted` and `nodes_explored`
-// are the recorded solve's values; only `seconds` reflects the lookup.
+// are the recorded solve's values; only `seconds` reflects the lookup, and
+// `nodes_replayed` is 0 (nothing was credited by this call).
 //
 // Thread safety: fully concurrent (ConcurrentMemoMap shards); intended to
 // be shared by every PA-R worker.

@@ -25,7 +25,9 @@ namespace {
 /// narrowest entry dominates iff any entry there does. Where a (height,
 /// col0) run holds one narrowest width at every row offset — as each
 /// enumeration run does unless the placement cap cut it — one probe
-/// answers for every row offset inside the candidate.
+/// answers for every row offset inside the candidate. A candidate's scan
+/// of one height stops at the first col0 from which no entry of that
+/// height ends inside it.
 void PruneDominated(std::vector<Rect>& placements) {
   constexpr std::size_t kNone = SIZE_MAX;
   constexpr std::size_t kMixed = SIZE_MAX - 1;
@@ -47,20 +49,26 @@ void PruneDominated(std::vector<Rect>& placements) {
     std::size_t& w = narrowest[slot(r.height, r.col0, r.row0)];
     w = std::min(w, r.width);
   }
-  // run_width[(height - 1) * cols + col0]: the narrowest width shared by
-  // every row offset a rectangle of that height can take, or kMixed.
+  // Per (height, col0), at index (height - 1) * cols + col0:
+  //   run_width: the narrowest width shared by every row offset a
+  //     rectangle of that height can take, or kMixed;
+  //   reach: the least right edge (col0' + width) over the entries of that
+  //     height at col0' >= col0, or kNone. Once it passes a candidate's
+  //     right edge, no later col0 of that height fits inside the candidate.
   std::vector<std::size_t> run_width(max_height * cols);
+  std::vector<std::size_t> reach(max_height * cols);
   for (std::size_t h = 1; h <= max_height; ++h) {
-    for (std::size_t col0 = 0; col0 < cols; ++col0) {
+    std::size_t least_end = kNone;
+    for (std::size_t col0 = cols; col0-- > 0;) {
       const std::size_t first = narrowest[slot(h, col0, 0)];
       std::size_t run = first;
-      for (std::size_t row0 = 1; row0 + h <= rows; ++row0) {
-        if (narrowest[slot(h, col0, row0)] != first) {
-          run = kMixed;
-          break;
-        }
+      for (std::size_t row0 = 0; row0 + h <= rows; ++row0) {
+        const std::size_t w = narrowest[slot(h, col0, row0)];
+        if (w != first) run = kMixed;
+        if (w != kNone) least_end = std::min(least_end, col0 + w);
       }
       run_width[(h - 1) * cols + col0] = run;
+      reach[(h - 1) * cols + col0] = least_end;
     }
   }
   std::vector<Rect> kept;
@@ -74,7 +82,9 @@ void PruneDominated(std::vector<Rect>& placements) {
     };
     bool dominated = false;
     for (std::size_t h = 1; h <= cand.height && !dominated; ++h) {
-      for (std::size_t col0 = cand.col0; col0 < col_end && !dominated;
+      for (std::size_t col0 = cand.col0;
+           col0 < col_end && !dominated &&
+           reach[(h - 1) * cols + col0] <= col_end;
            ++col0) {
         const std::size_t run = run_width[(h - 1) * cols + col0];
         if (run != kMixed) {
@@ -112,6 +122,7 @@ class Search {
         kernels_(simd::Active()) {
     total_cells_ = fabric.Columns() * fabric.Rows();
     mask_words_ = timeline::WordsFor(total_cells_);
+    memo_stride_ = 2 + mask_words_;
     kinds_ = capacity_.size();
     for (const PlacementSet* set : candidates_) {
       RESCHED_CHECK_MSG(
@@ -178,22 +189,19 @@ class Search {
     consumed_stack_.assign((order_.size() + 1) * kinds_, 0);
 
     // Barren-prune gate: slack_[d] is the least, over levels >= d, of
-    // |union_mask| - min_area. A level's union keeps at least
-    // |union| - |occupied| free cells, so while the occupied cells stay
-    // within slack_[d] no level from d on can be barren.
-    slack_.assign(order_.size() + 1, INT64_MAX);
+    // |union_mask| - min_area (never negative: every rectangle lies inside
+    // its union). A level's union keeps at least |union| - |occupied| free
+    // cells, so while the occupied cells stay within slack_[d] no level
+    // from d on can be barren.
+    slack_.assign(order_.size() + 1, SIZE_MAX);
     for (std::size_t d = order_.size(); d-- > 0;) {
       const PlacementSet& set = *candidates_[order_[d]];
-      std::int64_t union_cells = 0;
+      std::size_t union_cells = 0;
       for (const std::uint64_t word : set.union_mask) {
-        union_cells += std::popcount(word);
+        union_cells += static_cast<std::size_t>(std::popcount(word));
       }
-      slack_[d] = std::min(
-          slack_[d + 1],
-          union_cells - static_cast<std::int64_t>(set.min_area));
+      slack_[d] = std::min(slack_[d + 1], union_cells - set.min_area);
     }
-    memo_.clear();
-    memo_stride_ = 2 + mask_words_;
 
     chosen_.assign(candidates_.size(), Rect{});
     // Occupancy image per depth: row d holds the union of the masks of
@@ -333,14 +341,13 @@ class Search {
       // retains fewer free cells than its minimum footprint has no live
       // candidate left — this subtree is barren, skip it. (Sound and
       // order-preserving: only subtrees with no full assignment are cut.)
-      // Only worth scanning once the occupied cells exceed the slack of
-      // the levels below.
+      // It cannot fire until the occupied cells exceed the slack of the
+      // levels below, so the scan waits for that.
       const std::size_t next_cells =
           used_cells + static_cast<std::size_t>(set.Area(k));
       bool barren = false;
       for (std::size_t d2 = depth + 1;
-           static_cast<std::int64_t>(next_cells) > slack_[depth + 1] &&
-           d2 < order_.size() && !barren;
+           next_cells > slack_[depth + 1] && d2 < order_.size() && !barren;
            ++d2) {
         const PlacementSet& rest = *candidates_[order_[d2]];
         std::size_t free_cells = 0;
@@ -382,7 +389,7 @@ class Search {
   std::vector<std::size_t> pass_offset_;
   std::vector<std::uint64_t> pass_stack_;
   std::vector<std::int64_t> limits_;
-  std::vector<std::int64_t> slack_;
+  std::vector<std::size_t> slack_;
   /// kMemoSlots slots of memo_stride_ words; empty until the query has
   /// counted kMemoActivationNodes nodes.
   std::vector<std::uint64_t> memo_;

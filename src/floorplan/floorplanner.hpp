@@ -7,7 +7,9 @@
 // a pure feasibility query. We answer the same query with a complete
 // backtracking search over the enumerated minimal feasible placements:
 // regions are ordered fewest-candidates-first (MRV) and the search prunes on
-// per-kind remaining capacity. A node budget bounds the worst case, in
+// per-kind remaining capacity; a subtree it has already proven empty is
+// credited from a per-query memo instead of walked again (see
+// SolveFloorplanFeasibility). A node budget bounds the worst case, in
 // which case the result is reported as "not found" (matching how a
 // time-limited MILP behaves). The budget counts DFS nodes, not seconds, so
 // a verdict never depends on how fast the host is.
