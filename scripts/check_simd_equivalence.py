@@ -6,8 +6,8 @@ with ``RESCHED_SIMD=scalar`` — into two result directories. This script
 pairs the rows of each CSV present in both directories (on the identity
 columns: instance / num_tasks / mode / threads / scan / case / impl) and
 demands that every behavioural column (``best_makespan_us``,
-``violations``, and the floorplan ledger's ``nodes``, ``feasible`` and
-``exhausted``) is bit-identical. Throughput columns are expected to differ
+``violations``, and the floorplan ledger's ``nodes``, ``replayed``,
+``feasible`` and ``exhausted``) is bit-identical. Throughput columns are expected to differ
 and are ignored.
 
 Usage:
@@ -24,8 +24,8 @@ from pathlib import Path
 
 KEY_COLUMNS = ("instance", "num_tasks", "mode", "threads", "scan", "case",
                "impl")
-BEHAVIOUR_COLUMNS = ("best_makespan_us", "violations", "nodes", "feasible",
-                     "exhausted")
+BEHAVIOUR_COLUMNS = ("best_makespan_us", "violations", "nodes", "replayed",
+                     "feasible", "exhausted")
 
 
 def load(path: Path) -> tuple[list[str], list[dict]]:

@@ -465,6 +465,57 @@ TEST(FloorplanOracleTest, CorpusQueriesMatchAtRecordedAndSmallerBudgets) {
   EXPECT_GT(replayed_below, 0u);
 }
 
+// The union-mask barren prune never fires on the corpus or the seeded
+// sets, so its gate is driven by hand-picked candidate lists on the
+// XC7Z020 fabric, searched in list order (ties in the MRV sort):
+//   X1 (1 candidate) takes columns 10 of rows 0-1;
+//   X2 (1 candidate) takes one more cell, inside or outside R's union;
+//   Y  (2 candidates, union of 3 cells, min area 1) sits far away;
+//   R  (2 candidates of 4 cells, union of 6 cells) needs 4 free cells.
+// With X2 inside R's union only 3 of R's cells stay free: the subtree
+// below X2 is barren and the search ends after 2 nodes, while walking it
+// would count Y's and R's candidates too. X2 is placed so that the
+// occupied cells exceed the slack of the levels below by exactly one.
+TEST(FloorplanOracleTest, BarrenPruneFiresThroughItsGate) {
+  const Fabric fabric(MakeXc7z020());
+  for (const bool inside : {true, false}) {
+    SCOPED_TRACE(inside ? "X2 inside R's union" : "X2 outside R's union");
+    const std::vector<std::vector<Rect>> lists = {
+        {Rect{10, 0, 1, 2}},
+        {inside ? Rect{12, 0, 1, 1} : Rect{20, 3, 1, 1}},
+        {Rect{30, 0, 1, 1}, Rect{31, 0, 2, 1}},
+        {Rect{10, 0, 2, 2}, Rect{11, 0, 2, 2}}};
+    std::vector<PlacementSet> sets;
+    std::vector<OracleRegion> oracle_regions;
+    for (const std::vector<Rect>& rects : lists) {
+      oracle_regions.push_back(MakeOracleRegion(fabric, rects));
+      sets.push_back(BuildPlacementSet(fabric, rects));
+    }
+    std::vector<const PlacementSet*> candidates;
+    for (const PlacementSet& set : sets) candidates.push_back(&set);
+    for (const std::size_t budget : {std::size_t{0}, std::size_t{1},
+                                     std::size_t{2'000'000}}) {
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      const FloorplanResult want =
+          OracleSearch(fabric, oracle_regions, budget).Run();
+      EXPECT_EQ(want.feasible, !inside);
+      EXPECT_EQ(want.nodes_explored, inside ? 2u : 5u);
+      FloorplanOptions options;
+      options.max_nodes = budget;
+      for (const simd::Backend backend : ReachableBackends()) {
+        SCOPED_TRACE(simd::BackendName(backend));
+        ScopedBackend guard(backend);
+        const FloorplanResult got =
+            SolveFloorplanFeasibility(fabric, candidates, options);
+        EXPECT_EQ(got.feasible, want.feasible);
+        EXPECT_EQ(got.budget_exhausted, want.budget_exhausted);
+        EXPECT_EQ(got.nodes_explored, want.nodes_explored);
+        EXPECT_TRUE(SameRects(got.rects, want.rects));
+      }
+    }
+  }
+}
+
 TEST(FloorplanOracleTest, ColumnsDescribeTheirRectangles) {
   const FpgaDevice device = MakeXc7z020();
   const Fabric fabric(device);
