@@ -262,14 +262,10 @@ class Search {
     return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
   }
 
-  /// Failed-subtree memo. The subtree below a depth-d node is a function
-  /// of d and the occupancy mask alone: the used cells are the mask's
-  /// popcount and the per-kind consumption is the sum of the per-cell
-  /// units of its cells (footprints add up over disjoint rectangles).
-  /// So a subtree that failed once without reaching the budget fails
-  /// again after the same number of counted nodes. A slot holds depth + 1
-  /// (0 = empty), that node count and the mask; a probe compares depth
-  /// and mask exactly, so it never returns another subtree's count.
+  /// Failed-subtree memo (why it is exact: SolveFloorplanFeasibility in
+  /// the header). A slot holds depth + 1 (0 = empty), the subtree's node
+  /// count and the occupancy mask; a probe compares depth and mask
+  /// exactly, so it never returns another subtree's count.
   std::uint64_t* MemoSlot(std::size_t depth, const std::uint64_t* used) {
     std::uint64_t h = (depth + 1) * 0x9E3779B97F4A7C15ULL;
     for (std::size_t w = 0; w < mask_words_; ++w) {
@@ -279,9 +275,10 @@ class Search {
     return memo_.data() + slot * memo_stride_;
   }
 
-  static bool MemoHolds(const std::uint64_t* slot, std::size_t depth,
-                        const std::uint64_t* used, std::size_t words) {
-    return slot[0] == depth + 1 && std::equal(used, used + words, slot + 2);
+  bool MemoHolds(const std::uint64_t* slot, std::size_t depth,
+                 const std::uint64_t* used) const {
+    return slot[0] == depth + 1 &&
+           std::equal(used, used + mask_words_, slot + 2);
   }
 
   bool Dfs(std::size_t depth, std::size_t used_cells) {
@@ -293,7 +290,7 @@ class Search {
     }
     if (depth > 0 && !memo_.empty()) {
       const std::uint64_t* slot = MemoSlot(depth, used);
-      if (MemoHolds(slot, depth, used, mask_words_)) {
+      if (MemoHolds(slot, depth, used)) {
         // Crediting the count in one batch stops at the same budget
         // check as walking the subtree would.
         const std::size_t before = nodes_;
