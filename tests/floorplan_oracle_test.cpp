@@ -13,7 +13,8 @@
 //     interval and every reachable SIMD backend; and on every corpus
 //     query at its recorded budget and two smaller ones, where the long
 //     searches run through the library's failed-subtree memo and barren
-//     gate (neither of which the oracle has).
+//     gate (neither of which the oracle has); and on hand-picked candidate
+//     lists where the barren prune fires.
 //   * OraclePrune is the all-pairs dominance prune. EnumeratePrunedPlacements
 //     must return exactly its output on six preset fabrics at placement
 //     caps on both sides of the per-height run lengths.
