@@ -15,10 +15,6 @@ ResourceVec::ResourceVec(std::initializer_list<std::int64_t> values) {
   for (std::int64_t v : values) v_[i++] = v;
 }
 
-void ResourceVec::CheckSameArity(const ResourceVec& o) const {
-  RESCHED_CHECK_MSG(size_ == o.size_, "resource vector arity mismatch");
-}
-
 ResourceVec& ResourceVec::operator+=(const ResourceVec& o) {
   CheckSameArity(o);
   for (std::size_t i = 0; i < size_; ++i) v_[i] += o.v_[i];
@@ -43,14 +39,6 @@ bool LexicographicallyBefore(const ResourceVec& a, const ResourceVec& b) {
     if (a.v_[i] != b.v_[i]) return a.v_[i] < b.v_[i];
   }
   return false;
-}
-
-bool ResourceVec::FitsWithin(const ResourceVec& o) const {
-  CheckSameArity(o);
-  for (std::size_t i = 0; i < size_; ++i) {
-    if (v_[i] > o.v_[i]) return false;
-  }
-  return true;
 }
 
 bool ResourceVec::IsZero() const {

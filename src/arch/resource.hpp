@@ -55,8 +55,15 @@ class ResourceVec {
   }
   friend bool operator==(const ResourceVec& a, const ResourceVec& b);
 
-  /// Component-wise a <= b (this fits within capacity `o`).
-  bool FitsWithin(const ResourceVec& o) const;
+  /// Component-wise a <= b (this fits within capacity `o`). Inline: the
+  /// §V-C region picks call it once per (task, region) pair.
+  bool FitsWithin(const ResourceVec& o) const {
+    CheckSameArity(o);
+    for (std::size_t i = 0; i < size_; ++i) {
+      if (v_[i] > o.v_[i]) return false;
+    }
+    return true;
+  }
 
   /// Strict total order: arity first, then components lexicographically.
   /// This is a canonicalization order for caches and dedup — NOT a
@@ -80,7 +87,9 @@ class ResourceVec {
   std::string ToString() const;
 
  private:
-  void CheckSameArity(const ResourceVec& o) const;
+  void CheckSameArity(const ResourceVec& o) const {
+    RESCHED_CHECK_MSG(size_ == o.size_, "resource vector arity mismatch");
+  }
 
   std::array<std::int64_t, kMaxResourceKinds> v_{};
   std::size_t size_ = 0;

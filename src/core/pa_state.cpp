@@ -17,8 +17,8 @@ PaScratch::PaScratch(const PaContext& ctx)
       used_cap_(ctx.Inst().platform.Device().Model().ZeroVec()),
       processor_of_(ctx.NumTasks(), -1),
       buffers_(arena_) {
-  // CanHost prefilter resolution: bucket the [0, MaxT] axis into at most
-  // ~1024 bits so a region's occupancy image stays a few words wide.
+  // Controller-lane resolution: bucket the [0, MaxT] axis into at most
+  // ~1024 bits so a lane's gap index stays a few words wide.
   const auto maxt = static_cast<std::uint64_t>(ctx.MaxT());
   while ((maxt >> tl_shift_) >= 1024) ++tl_shift_;
   tl_bits_ = static_cast<std::size_t>(maxt >> tl_shift_) + 2;
@@ -123,13 +123,6 @@ bool PaScratch::CanHost(std::size_t region, TaskId t, std::size_t impl_index,
   const TimeT start_t = es[ti];
   const TimeT end_t = start_t + timing_.ExecTime(t);
   const TimeT room = require_reconf_room ? r.reconf_time : 0;
-
-  // Bucketed-timeline prefilter: when the outward-rounded query range is
-  // clear, every pairwise check below would pass (pair_room <= room), so
-  // accept without the scan. A clash proves nothing — fall through to the
-  // exact loop. Either way the decision matches the scalar code exactly.
-  if (TimelineClear(region, r, start_t, end_t, room)) return true;
-
   for (const TaskId u : r.tasks) {
     const auto ui = static_cast<std::size_t>(u);
     const TimeT start_u = es[ui];
@@ -150,30 +143,6 @@ bool PaScratch::CanHost(std::size_t region, TaskId t, std::size_t impl_index,
     if (!u_before_t && !t_before_u) return false;
   }
   return true;
-}
-
-bool PaScratch::TimelineClear(std::size_t region, const DraftRegion& r,
-                              TimeT start_t, TimeT end_t, TimeT room) const {
-  if (r.tasks.empty()) return true;
-  const std::vector<TimeT>& es = timing_.EarliestStarts();
-  const std::uint64_t version = timing_.WindowsVersion();
-  if (region_tl_.size() < num_regions_) region_tl_.resize(num_regions_);
-  RegionTimeline& tl = region_tl_[region];
-  if (tl.version != version || tl.ntasks != r.tasks.size()) {
-    tl.index.ResizeAndClear(tl_bits_);  // keeps capacity
-    for (const TaskId u : r.tasks) {
-      const auto ui = static_cast<std::size_t>(u);
-      const TimeT s = es[ui];
-      tl.index.Set(BucketLo(s), BucketHi(s + timing_.ExecTime(u)));
-    }
-    tl.version = version;
-    tl.ntasks = r.tasks.size();
-  }
-  const TimeT qs = start_t > room ? start_t - room : 0;
-  const TimeT qe = end_t + room;
-  // O(1) occupancy probe: prefix-popcount difference over the bucket
-  // window instead of a word scan.
-  return !tl.index.AnySet(BucketLo(qs), BucketHi(qe));
 }
 
 bool PaScratch::WouldAvoidReconf(std::size_t region, TaskId t,
@@ -204,6 +173,7 @@ std::size_t PaScratch::CreateRegionFor(TaskId t) {
   }
   DraftRegion& region = regions_[num_regions_];
   region.res = impl.res;
+  region.bits = Inst().platform.Device().BitstreamBits(region.res);
   region.reconf_time = Inst().platform.ReconfTicks(region.res);
   region.tasks.clear();
   region.tasks.push_back(t);

@@ -31,12 +31,14 @@ namespace resched::pa {
 
 /// A reconfigurable region under construction. `tasks` is kept in the
 /// serialization order enforced by the ordering edges. Task storage is
-/// carved from the owning scratch's arena.
+/// carved from the owning scratch's arena. `res` is fixed at creation, so
+/// its Eq. (1) bitstream size is computed once, there.
 struct DraftRegion {
   explicit DraftRegion(MonotonicArena& arena)
       : tasks(ArenaAllocator<TaskId>(arena)) {}
 
   ResourceVec res;
+  double bits = 0.0;
   TimeT reconf_time = 0;
   ArenaVec<TaskId> tasks;
 };
@@ -57,8 +59,10 @@ struct StageBuffers {
         pending(ArenaAllocator<PendingReconf>(arena)),
         blockers(ArenaAllocator<std::size_t>(arena)),
         blocks(ArenaAllocator<std::vector<std::size_t>>(arena)),
-        done(ArenaAllocator<char>(arena)),
+        ready(ArenaAllocator<ReadyReconf>(arena)),
         reach_bits(ArenaAllocator<std::uint64_t>(arena)),
+        tin_mask(ArenaAllocator<std::uint64_t>(arena)),
+        reconf_in(ArenaAllocator<std::size_t>(arena)),
         combined_succs(ArenaAllocator<std::vector<TaskId>>(arena)),
         timeline(ArenaAllocator<ReconfSlot>(arena)),
         ingoing_of(ArenaAllocator<TaskId>(arena)),
@@ -72,6 +76,12 @@ struct StageBuffers {
     TaskId t_out = kInvalidTask;
     TimeT exe = 0;
     bool critical = false;
+  };
+  /// An available reconfiguration in the §V-G pick heap.
+  struct ReadyReconf {
+    bool critical = false;
+    TimeT tmin = 0;
+    std::size_t index = 0;
   };
 
   // §V-C regions definition.
@@ -92,8 +102,12 @@ struct StageBuffers {
   ArenaVec<PendingReconf> pending;
   ArenaVec<std::size_t> blockers;
   ArenaVec<std::vector<std::size_t>> blocks;
-  ArenaVec<char> done;
+  ArenaVec<ReadyReconf> ready;
   ArenaVec<std::uint64_t> reach_bits;
+  /// Ingoing tasks of the pending reconfigurations as a task bitset, and
+  /// the pending index of each (the count of pending when none).
+  ArenaVec<std::uint64_t> tin_mask;
+  ArenaVec<std::size_t> reconf_in;
   ArenaVec<std::vector<TaskId>> combined_succs;
   /// Controller timeline produced by §V-G, consumed by the assembly.
   ArenaVec<ReconfSlot> timeline;
@@ -182,11 +196,12 @@ class PaScratch {
 
   /// Whether region `s` can host task `t` with implementation `impl_index`:
   /// resource fit plus pairwise-disjoint time windows against every task
-  /// already in `s`. With `require_reconf_room`, windows must additionally
-  /// leave reconf_s of slack on the side where the reconfiguration would
-  /// run (§V-C step 1 for critical tasks) — except between same-module
-  /// neighbours when the module-reuse extension is active (no
-  /// reconfiguration happens there, so no room is needed).
+  /// already in `s`, by an exact loop over those tasks. With
+  /// `require_reconf_room`, windows must additionally leave reconf_s of
+  /// slack on the side where the reconfiguration would run (§V-C step 1
+  /// for critical tasks) — except between same-module neighbours when the
+  /// module-reuse extension is active (no reconfiguration happens there,
+  /// so no room is needed).
   bool CanHost(std::size_t region, TaskId t, std::size_t impl_index,
                bool require_reconf_room) const;
 
@@ -225,42 +240,22 @@ class PaScratch {
 
   StageBuffers& Buffers() { return buffers_; }
 
-  // ---- bucketed time axis (shared by the CanHost prefilter and the §V-G
-  // controller lanes): bucket b covers ticks [b << shift, (b+1) << shift),
-  // outward-rounded on store and on query so a clear bucket window proves
-  // tick-level disjointness. Saturates at the axis end (conservative).
+  // ---- bucketed time axis of the §V-G controller lanes: bucket b covers
+  // ticks [b << shift, (b+1) << shift), outward-rounded on store and on
+  // query so a clear bucket window proves tick-level disjointness.
+  // Saturates at the axis end (conservative).
   std::size_t TimeBuckets() const { return tl_bits_; }
-  std::size_t TimeBucketLo(TimeT t) const { return BucketLo(t); }
-  /// Exclusive bucket end for an exclusive tick end t >= 1.
-  std::size_t TimeBucketHi(TimeT t) const { return BucketHi(t); }
-
- private:
-  /// Coarse per-region occupancy image over bucketed time, held as a
-  /// prefix-popcount GapIndex: outward-rounded on store and on query, so
-  /// an O(1) AnySet() == false proves slot disjointness and CanHost can
-  /// accept without the pairwise scan. A clash only falls back to the
-  /// exact loop — decisions are bit-identical either way.
-  struct RegionTimeline {
-    std::uint64_t version = 0;
-    std::size_t ntasks = static_cast<std::size_t>(-1);
-    timeline::GapIndex index;
-  };
-
-  /// True when the bucketed image proves [start_t - room, end_t + room)
-  /// is disjoint from every slot already in region `r` (rebuilds the
-  /// image lazily when windows or membership changed).
-  bool TimelineClear(std::size_t region, const DraftRegion& r, TimeT start_t,
-                     TimeT end_t, TimeT room) const;
-
-  std::size_t BucketLo(TimeT t) const {
+  std::size_t TimeBucketLo(TimeT t) const {
     const std::size_t b = static_cast<std::size_t>(t) >> tl_shift_;
     return b < tl_bits_ ? b : tl_bits_ - 1;  // saturate: stays conservative
   }
-  std::size_t BucketHi(TimeT t) const {  // exclusive end for tick-end t >= 1
+  /// Exclusive bucket end for an exclusive tick end t >= 1.
+  std::size_t TimeBucketHi(TimeT t) const {
     const std::size_t b = (static_cast<std::size_t>(t - 1) >> tl_shift_) + 1;
     return b < tl_bits_ ? b : tl_bits_;
   }
 
+ private:
   const PaContext* ctx_;
   ResourceVec avail_cap_;
 
@@ -281,9 +276,6 @@ class PaScratch {
 
   std::vector<int> processor_of_;
 
-  // CanHost prefilter state (lazily rebuilt; epoch-checked via the timing
-  // context's windows version, so Reset() needs no invalidation pass).
-  mutable std::vector<RegionTimeline> region_tl_;
   std::size_t tl_shift_ = 0;
   std::size_t tl_bits_ = 1;
 

@@ -20,7 +20,19 @@
 // release. The availability relation is acyclic (a cycle would imply a
 // cycle among task dependencies), so this terminates in one pass and the
 // emitted timeline satisfies every §III constraint by construction.
+//
+// R's T_MIN is final once R is available: a later placement only raises
+// the release of its own outgoing task, and that task reaches R's ingoing
+// task only if its reconfiguration blocks R — it was then scheduled
+// before R became available. So T_MIN is read once, at availability, and
+// the available set lives in a heap ordered by (critical first, T_MIN,
+// pending index), which pops exactly the reconfiguration a scan of every
+// pending one would pick. The relation itself comes from reachability
+// rows: a task is the ingoing task of at most one reconfiguration (its
+// successor within its one region), so row(t_out) AND the ingoing-task
+// mask lists exactly the reconfigurations that R blocks.
 #include <algorithm>
+#include <bit>
 
 #include "core/pa_state.hpp"
 
@@ -29,6 +41,14 @@ namespace resched::pa {
 namespace {
 
 using PendingReconf = StageBuffers::PendingReconf;
+using ReadyReconf = StageBuffers::ReadyReconf;
+
+/// Heap order of the available set: true when `a` is picked after `b`.
+bool PickedAfter(const ReadyReconf& a, const ReadyReconf& b) {
+  if (a.critical != b.critical) return b.critical;
+  if (a.tmin != b.tmin) return a.tmin > b.tmin;
+  return a.index > b.index;
+}
 
 TimeT EndOf(const PaScratch& s, TaskId t) {
   return s.Timing().EarliestStarts()[static_cast<std::size_t>(t)] +
@@ -72,10 +92,10 @@ class Reachability {
     }
   }
 
-  bool Reaches(TaskId from, TaskId to) const {
-    const auto f = static_cast<std::size_t>(from);
-    const auto t = static_cast<std::size_t>(to);
-    return (bits_[f * words_ + t / 64] >> (t % 64)) & 1;
+  std::size_t Words() const { return words_; }
+  /// reach[from] as Words() 64-bit words (bit t set when from reaches t).
+  const std::uint64_t* Row(TaskId from) const {
+    return bits_.data() + static_cast<std::size_t>(from) * words_;
   }
 
  private:
@@ -162,47 +182,62 @@ void RunReconfigurationScheduling(const PaContext& ctx, PaScratch& s) {
 
   const Reachability reach(s, buf);
 
-  // precedes[i][j]: reconfiguration i must be scheduled before j, because
-  // i's outgoing task weakly precedes j's ingoing task (so scheduling i can
-  // still move j's T_MIN).
+  // blocks[i]: the reconfigurations i must be scheduled before, because
+  // i's outgoing task weakly precedes their ingoing task (so scheduling i
+  // can still move their T_MIN).
   const std::size_t m = pending.size();
+  const std::size_t words = reach.Words();
+  ArenaVec<std::uint64_t>& tin_mask = buf.tin_mask;
+  tin_mask.assign(words, 0);
+  ArenaVec<std::size_t>& reconf_in = buf.reconf_in;
+  reconf_in.assign(s.NumTasks(), m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const auto t_in = static_cast<std::size_t>(pending[j].t_in);
+    RESCHED_CHECK_MSG(reconf_in[t_in] == m,
+                      "task is the ingoing task of two reconfigurations");
+    reconf_in[t_in] = j;
+    tin_mask[t_in / 64] |= std::uint64_t{1} << (t_in % 64);
+  }
   ArenaVec<std::size_t>& blockers = buf.blockers;
   blockers.assign(m, 0);
   ArenaVec<std::vector<std::size_t>>& blocks = buf.blocks;
   if (blocks.size() < m) blocks.resize(m);
-  for (std::size_t i = 0; i < m; ++i) blocks[i].clear();
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      if (i == j) continue;
-      if (reach.Reaches(pending[i].t_out, pending[j].t_in)) {
+    blocks[i].clear();
+    const std::uint64_t* row = reach.Row(pending[i].t_out);
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t hit = row[w] & tin_mask[w]; hit != 0;
+           hit &= hit - 1) {
+        const std::size_t j =
+            reconf_in[w * 64 + static_cast<std::size_t>(std::countr_zero(hit))];
+        if (j == i) continue;
         blocks[i].push_back(j);
         ++blockers[j];
       }
     }
   }
 
-  ArenaVec<char>& done = buf.done;
-  done.assign(m, 0);
+  // Available set, keyed by the T_MIN read when each entry became
+  // available (final from then on; see the header).
+  ArenaVec<ReadyReconf>& ready = buf.ready;
+  ready.clear();
+  const auto make_available = [&](std::size_t j) {
+    ready.push_back(ReadyReconf{pending[j].critical,
+                                EndOf(s, pending[j].t_in), j});
+    std::push_heap(ready.begin(), ready.end(), PickedAfter);
+  };
+  for (std::size_t j = 0; j < m; ++j) {
+    if (blockers[j] == 0) make_available(j);
+  }
+
   for (std::size_t scheduled = 0; scheduled < m; ++scheduled) {
-    // Pick among available reconfigurations: critical first (paper §V-G),
-    // then lowest (now final) T_MIN, then stable index.
-    std::size_t pick = m;
-    TimeT pick_tmin = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (done[i] || blockers[i] != 0) continue;
-      const TimeT tmin = EndOf(s, pending[i].t_in);
-      const bool better =
-          pick == m ||
-          (pending[i].critical && !pending[pick].critical) ||
-          (pending[i].critical == pending[pick].critical &&
-           tmin < pick_tmin);
-      if (better) {
-        pick = i;
-        pick_tmin = tmin;
-      }
-    }
-    RESCHED_CHECK_MSG(pick < m,
+    // Critical first (paper §V-G), then lowest T_MIN, then stable index.
+    RESCHED_CHECK_MSG(!ready.empty(),
                       "reconfiguration availability relation has a cycle");
+    std::pop_heap(ready.begin(), ready.end(), PickedAfter);
+    const std::size_t pick = ready.back().index;
+    const TimeT pick_tmin = ready.back().tmin;
+    ready.pop_back();
 
     const PendingReconf& r = pending[pick];
     // Pick the controller offering the earliest gap (always controller 0
@@ -250,8 +285,9 @@ void RunReconfigurationScheduling(const PaContext& ctx, PaScratch& s) {
     // delay over the task graph.
     s.Timing().RaiseRelease(r.t_out, end);
 
-    done[pick] = 1;
-    for (const std::size_t j : blocks[pick]) --blockers[j];
+    for (const std::size_t j : blocks[pick]) {
+      if (--blockers[j] == 0) make_available(j);
+    }
   }
 }
 

@@ -25,25 +25,28 @@ namespace {
 /// bitstream (== smallest reconfiguration time); returns -1 when none.
 /// Under the module-reuse extension, regions where the insertion lands
 /// right after a same-module task rank first regardless of bitstream — the
-/// reconfiguration there costs nothing at all.
+/// reconfiguration there costs nothing at all. Most regions cannot hold
+/// the implementation at all, so the inline resource fit rejects them
+/// before CanHost reads any timing.
 int PickSmallestBitstreamRegion(const PaScratch& s, TaskId t,
                                 std::size_t impl_index,
                                 bool require_reconf_room) {
   int best = -1;
   bool best_free = false;
   double best_bits = 0.0;
-  const auto& device = s.Inst().platform.Device();
+  const ResourceVec& need = s.Inst().graph.GetImpl(t, impl_index).res;
   for (std::size_t r = 0; r < s.NumRegions(); ++r) {
+    const DraftRegion& region = s.Region(r);
+    if (!need.FitsWithin(region.res)) continue;
     if (!s.CanHost(r, t, impl_index, require_reconf_room)) continue;
     const bool free = s.WouldAvoidReconf(r, t, impl_index);
-    const double bits = device.BitstreamBits(s.Region(r).res);
     const bool better =
         best < 0 || (free && !best_free) ||
-        (free == best_free && bits < best_bits);
+        (free == best_free && region.bits < best_bits);
     if (better) {
       best = static_cast<int>(r);
       best_free = free;
-      best_bits = bits;
+      best_bits = region.bits;
     }
   }
   return best;

@@ -115,7 +115,6 @@ void TimingContext::SetExecTime(TaskId t, TimeT exec) {
   if (exec == slot) return;
   const bool grew = exec > slot;
   slot = exec;
-  ++version_;
   backward_stale_ = true;
   if (full_sweep_pending_) return;
   if (!grew) {
@@ -345,7 +344,6 @@ void TimingContext::ForwardSweep() const {
   // The sweep covers every seed queued before it.
   for (const TaskId t : seeds_) queued_[static_cast<std::size_t>(t)] = 0;
   seeds_.clear();
-  ++version_;
   full_sweep_pending_ = false;
   backward_stale_ = true;
 }
@@ -353,7 +351,6 @@ void TimingContext::ForwardSweep() const {
 void TimingContext::Propagate() const {
   auto& es = windows_.earliest_start;
   TimeT makespan = windows_.makespan;
-  bool moved = false;
   // FIFO worklist: `seeds_` doubles as the queue, `head` walks it.
   for (std::size_t head = 0; head < seeds_.size(); ++head) {
     const TaskId t = seeds_[head];
@@ -363,12 +360,10 @@ void TimingContext::Propagate() const {
     if (start <= es[ti]) continue;
     es[ti] = start;
     makespan = std::max(makespan, start + exec_[ti]);
-    moved = true;
     SeedSuccessors(t);
   }
   seeds_.clear();
   windows_.makespan = makespan;
-  if (moved) ++version_;
 }
 
 void TimingContext::BackwardSweep() const {

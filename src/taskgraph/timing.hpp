@@ -121,15 +121,6 @@ class TimingContext {
   /// Windows() read.
   const TimeWindows& Windows() const;
 
-  /// Monotonic stamp of T_MIN and the execution times (never reset): it
-  /// increases whenever any earliest start or exec time may have changed,
-  /// so callers caching state derived from those compare stamps to detect
-  /// staleness. T_MAX may move without a bump. Brings T_MIN up to date.
-  std::uint64_t WindowsVersion() const {
-    UpdateEarliestStarts();
-    return version_;
-  }
-
   /// Topological order over base + extra edges (by value; see
   /// CombinedTopologicalOrderRef for the allocation-free variant).
   std::vector<TaskId> CombinedTopologicalOrder() const;
@@ -207,7 +198,6 @@ class TimingContext {
   mutable std::vector<char> queued_;
 
   mutable TimeWindows windows_;
-  mutable std::uint64_t version_ = 0;
   /// T_MIN must be rebuilt from scratch (seeds are then ignored).
   mutable bool full_sweep_pending_ = true;
   /// T_MAX/criticality are older than the last mutation.

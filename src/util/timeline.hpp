@@ -4,8 +4,9 @@
 // of half-open index ranges over a bounded axis (time buckets, fabric
 // cells), asked either "is any index in [begin, end) occupied?" or "occupy
 // [begin, end)". These kernels pack the axis into 64-bit words so one AND
-// or OR touches 64 indices; the floorplan candidate masks, the PA region
-// availability prefilter and the validator overlap scan all share them.
+// or OR touches 64 indices; the floorplan candidate masks, the §V-G
+// reconfiguration-controller lanes and the validator overlap scan all
+// share them.
 //
 // Layout: bit i of the axis lives in words[i / 64], bit position i % 64.
 // Every kernel takes raw word pointers so callers can carve the storage
