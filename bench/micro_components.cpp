@@ -212,7 +212,9 @@ std::vector<ResourceVec> CorpusRequirements(
 /// items are counted DFS nodes (nodes_explored, the memo's replayed
 /// nodes included), so items_per_second is the nodes/s the perf smoke
 /// gates (`floorplan:corpus`). `replayed` is the part of `nodes` credited
-/// from the failed-subtree memo instead of walked.
+/// from the failed-subtree memo instead of walked. The run is labelled
+/// with the active SIMD backend: the smoke prefers a
+/// `floorplan:corpus:<backend>` floor when the baseline has one.
 void BM_FloorplanCorpusSolve(benchmark::State& state) {
   const FpgaDevice device = MakeXc7z020();
   const Fabric fabric(device);
@@ -260,6 +262,7 @@ void BM_FloorplanCorpusSolve(benchmark::State& state) {
   state.counters["exhausted"] = static_cast<double>(exhausted);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(nodes));
+  state.SetLabel(simd::BackendName(simd::ActiveBackend()));
 }
 BENCHMARK(BM_FloorplanCorpusSolve)->Unit(benchmark::kMillisecond);
 

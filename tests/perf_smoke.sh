@@ -11,7 +11,10 @@
 # data/instances/large_100.json (`ingest:` prefix), and the floorplan DFS:
 # nodes/s over the query corpus data/floorplan_corpus.txt (`floorplan:`
 # prefix; that case fails when a query's nodes or verdict drift from the
-# recorded ones).
+# recorded ones). The corpus case is labelled with the SIMD backend it ran
+# on; a `floorplan:corpus:<backend>` floor, when present, replaces the
+# plain `floorplan:corpus` one, so a host without AVX2 is gated against
+# the scalar kernels' rate.
 #
 # Usage: perf_smoke.sh <micro_restart-binary> <baseline-file> [config] \
 #                      [micro_validate-binary] [micro_components-binary]
@@ -99,13 +102,36 @@ def read_csv(csv_path, row_filter, rate_column):
     return measured
 
 
-def read_components(json_path, case, key):
-    """items/s of one micro_components case from google-benchmark JSON; a
-    case that reported an error has no rate."""
+def component_runs(json_path, case):
+    """The google-benchmark JSON runs of one micro_components case that
+    did not report an error."""
     with open(json_path) as fh:
         runs = json.load(fh)["benchmarks"]
-    return {key: run["items_per_second"] for run in runs
-            if run["name"] == case and not run.get("error_occurred")}
+    return [run for run in runs
+            if run["name"] == case and not run.get("error_occurred")]
+
+
+def read_components(json_path, case, key):
+    """items/s of one micro_components case; a case that reported an
+    error has no rate."""
+    return {key: run["items_per_second"]
+            for run in component_runs(json_path, case)}
+
+
+def backend_floors(floors, json_path, case):
+    """`floors` with a `<name>:<backend>` floor in place of `<name>` for
+    the SIMD backend the case's run is labelled with; other backends'
+    floors are dropped."""
+    labels = {run.get("label", "") for run in component_runs(json_path, case)}
+    chosen = {}
+    for name, floor in floors.items():
+        base, _, backend = name.partition(":")
+        if backend and backend not in labels:
+            continue
+        if not backend and any(f"{base}:{label}" in floors for label in labels):
+            continue
+        chosen[base] = floor
+    return chosen
 
 
 def check(path, floors, read, unit):
@@ -149,7 +175,9 @@ if os.path.exists(components):
                     lambda path: read_components(
                         path, "BM_IngestParseRequestLarge100", "large_100"),
                     "requests/s")
-    status |= check(components, floorplan_floors,
+    status |= check(components,
+                    backend_floors(floorplan_floors, components,
+                                   "BM_FloorplanCorpusSolve"),
                     lambda path: read_components(
                         path, "BM_FloorplanCorpusSolve", "corpus"),
                     "nodes/s")
