@@ -33,6 +33,7 @@ void PaScratch::Reset(const ResourceVec& avail_cap) {
     regions_[s].tasks.clear();  // keeps capacity
   }
   num_regions_ = 0;
+  by_bits_.clear();
   std::fill(region_of_.begin(), region_of_.end(), -1);
   used_cap_ = Inst().platform.Device().Model().ZeroVec();
   std::fill(processor_of_.begin(), processor_of_.end(), -1);
@@ -177,6 +178,13 @@ std::size_t PaScratch::CreateRegionFor(TaskId t) {
   region.reconf_time = Inst().platform.ReconfTicks(region.res);
   region.tasks.clear();
   region.tasks.push_back(t);
+  // Equal bits keep creation order: the new index goes after them.
+  by_bits_.insert(std::upper_bound(by_bits_.begin(), by_bits_.end(),
+                                   region.bits,
+                                   [this](double bits, std::size_t r) {
+                                     return bits < regions_[r].bits;
+                                   }),
+                  num_regions_);
   ++num_regions_;
   used_cap_ += impl.res;
   RESCHED_DCHECK_MSG(used_cap_.FitsWithin(avail_cap_),

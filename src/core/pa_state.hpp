@@ -185,6 +185,8 @@ class PaScratch {
     RESCHED_CHECK_MSG(s < num_regions_, "region out of range");
     return regions_[s];
   }
+  /// Live region indices in ascending (Eq. (1) bits, index) order.
+  const std::vector<std::size_t>& RegionsByBits() const { return by_bits_; }
   /// Region index of `t` or -1 when t runs in software.
   int RegionOf(TaskId t) const {
     return region_of_.at(static_cast<std::size_t>(t));
@@ -271,6 +273,7 @@ class PaScratch {
   /// entries keep their task-vector capacity for reuse.
   std::vector<DraftRegion> regions_;
   std::size_t num_regions_ = 0;
+  std::vector<std::size_t> by_bits_;
   std::vector<int> region_of_;
   ResourceVec used_cap_;
 

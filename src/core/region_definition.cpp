@@ -22,34 +22,28 @@ namespace resched::pa {
 namespace {
 
 /// Picks, among regions that can host (t, impl), the one with the smallest
-/// bitstream (== smallest reconfiguration time); returns -1 when none.
-/// Under the module-reuse extension, regions where the insertion lands
-/// right after a same-module task rank first regardless of bitstream — the
-/// reconfiguration there costs nothing at all. Most regions cannot hold
-/// the implementation at all, so the inline resource fit rejects them
-/// before CanHost reads any timing.
+/// bitstream (== smallest reconfiguration time), the first created on a
+/// tie; returns -1 when none. Under the module-reuse extension, regions
+/// where the insertion lands right after a same-module task rank first
+/// regardless of bitstream — the reconfiguration there costs nothing at
+/// all. Walking the regions in (bits, index) order, the first host found
+/// is that pick unless a later one is free. Most regions cannot hold the
+/// implementation at all, so the inline resource fit rejects them before
+/// CanHost reads any timing.
 int PickSmallestBitstreamRegion(const PaScratch& s, TaskId t,
                                 std::size_t impl_index,
                                 bool require_reconf_room) {
-  int best = -1;
-  bool best_free = false;
-  double best_bits = 0.0;
+  int fallback = -1;
   const ResourceVec& need = s.Inst().graph.GetImpl(t, impl_index).res;
-  for (std::size_t r = 0; r < s.NumRegions(); ++r) {
-    const DraftRegion& region = s.Region(r);
-    if (!need.FitsWithin(region.res)) continue;
+  for (const std::size_t r : s.RegionsByBits()) {
+    if (!need.FitsWithin(s.Region(r).res)) continue;
     if (!s.CanHost(r, t, impl_index, require_reconf_room)) continue;
-    const bool free = s.WouldAvoidReconf(r, t, impl_index);
-    const bool better =
-        best < 0 || (free && !best_free) ||
-        (free == best_free && region.bits < best_bits);
-    if (better) {
-      best = static_cast<int>(r);
-      best_free = free;
-      best_bits = region.bits;
+    if (!s.Options().module_reuse || s.WouldAvoidReconf(r, t, impl_index)) {
+      return static_cast<int>(r);
     }
+    if (fallback < 0) fallback = static_cast<int>(r);
   }
-  return best;
+  return fallback;
 }
 
 }  // namespace
