@@ -305,7 +305,8 @@ TEST(ReconfOracleTest, EqualTminTiesFollowCriticalityThenPendingIndex) {
       {4, 3, 2, 1, 0}, {2, 0, 4, 1, 3}, {3, 1, 4, 0, 2}};
   for (const std::size_t controllers : {1u, 2u}) {
     const TieFixture fix(controllers);
-    const PaContext ctx(fix.instance, PaOptions{});
+    const PaOptions options;  // PaContext borrows it
+    const PaContext ctx(fix.instance, options);
     for (const auto& order : orders) {
       PaScratch lib(ctx);
       PaScratch oracle(ctx);
