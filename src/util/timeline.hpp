@@ -454,10 +454,6 @@ class GapIndex {
            static_cast<std::size_t>(std::popcount(words_[we] & tail));
   }
 
-  bool AnySet(std::size_t begin, std::size_t end) const {
-    return Count(begin, end) != 0;
-  }
-
   /// First index i >= from with i + len <= NumBits() and [i, i + len) all
   /// clear, or kNpos. Same contract as FirstFitGap, but each blocked
   /// window is rejected in O(1) and skipped past its *last* set bit (any

@@ -177,9 +177,6 @@ TEST_P(GapIndexDifferentialSweep, GapIndexAndCursorsMatchNaiveScan) {
           EXPECT_EQ(index.Count(begin, end),
                     tl::scalar::RangeCount(ref.data(), begin, end))
               << "Count [" << begin << ", " << end << ")";
-          EXPECT_EQ(index.AnySet(begin, end),
-                    tl::scalar::RangeAny(ref.data(), begin, end))
-              << "AnySet [" << begin << ", " << end << ")";
           break;
         }
         case 2: {  // FirstGap with and without cursor vs naive fit scan
@@ -377,8 +374,8 @@ TEST(TimelineTest, GapIndexDeterministicEdges) {
   index.Set(63, 65);  // idempotent: prefix must not double-count
   EXPECT_EQ(index.Count(0, 192), 2u);
   EXPECT_EQ(index.Count(64, 192), 1u);
-  EXPECT_TRUE(index.AnySet(0, 64));
-  EXPECT_FALSE(index.AnySet(65, 192));
+  EXPECT_EQ(index.Count(0, 64), 1u);
+  EXPECT_EQ(index.Count(65, 192), 0u);
   EXPECT_EQ(index.FirstGap(0, 63), 0u);
   EXPECT_EQ(index.FirstGap(0, 64), 65u);
   EXPECT_EQ(index.FirstGap(64, 1), 65u);
